@@ -9,7 +9,6 @@ appliance catalog or the schedules.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -26,10 +25,7 @@ def main() -> int:
     parser.add_argument("--width", type=int, default=60, help="bar chart width in characters")
     args = parser.parse_args()
 
-    scenario = load_scenario(args.config)
-    if args.seed is not None:
-        scenario = dataclasses.replace(
-            scenario, config=dataclasses.replace(scenario.config, seed=args.seed))
+    scenario = load_scenario(args.config, {"seed": args.seed})
 
     output = run(scenario)
     curve = aggregate_load(output)

@@ -10,7 +10,6 @@ over the peak window relative to the first fraction listed.
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
 
@@ -31,17 +30,14 @@ def main() -> int:
     args = parser.parse_args()
 
     fractions = [float(f) for f in args.fractions.split(",")]
-    scenario = load_scenario(args.config)
-    config = scenario.config
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    window = config.peak_window
-
     curves = {}
     for frac in fractions:
-        cfg = dataclasses.replace(config, initial_experienced_fraction=frac)
-        curves[frac] = aggregate_load(run(dataclasses.replace(scenario, config=cfg)))
+        scenario = load_scenario(
+            args.config, {"seed": args.seed, "initial_experienced_fraction": frac})
+        curves[frac] = aggregate_load(run(scenario))
         print(f"ran fraction {frac:.2f}", file=sys.stderr)
+    config = scenario.config
+    window = config.peak_window
 
     base = curves[fractions[0]]
     rows = []

@@ -15,7 +15,7 @@ from .domain import (
     load_scenario,
     validate_scenario,
 )
-from .engine import SimOutput, Simulation, build_population, run
+from .engine import SimOutput, Simulation, run
 from .learning import LearningParams, adoption_probability, trials_to_threshold
 from .metrics import LoadCurve, aggregate_load, peak_reduction, peak_stats, pearson_correlation
 from .network import Network, clustering_coefficient, generate_small_world
@@ -36,7 +36,6 @@ __all__ = [
     "TimeOfDay",
     "adoption_probability",
     "aggregate_load",
-    "build_population",
     "clustering_coefficient",
     "generate_small_world",
     "load_scenario",

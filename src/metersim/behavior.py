@@ -30,11 +30,6 @@ SWITCHED_ON = "SwitchedOn"
 SWITCHED_OFF = "SwitchedOff"
 INTERACTED = "Interacted"
 
-EVENT_KINDS = (
-    LEFT_HOME, RETURNED_HOME, INFLUENCED, BECAME_EXPERIENCED,
-    SWITCHED_ON, SWITCHED_OFF, INTERACTED,
-)
-
 
 @dataclass(frozen=True, slots=True)
 class AgentEvent:
@@ -66,10 +61,6 @@ class ArchetypeRuntime:
     on_suppressed: tuple[tuple[float, ...], ...]
     off_normal: tuple[float, ...]
     off_suppressed: tuple[float, ...]
-    leave_lo: int
-    leave_span: int
-    return_lo: int
-    return_span: int
 
     @classmethod
     def build(
@@ -122,10 +113,6 @@ class ArchetypeRuntime:
             on_suppressed=tuple(on_suppressed),
             off_normal=tuple(off_normal),
             off_suppressed=tuple(off_suppressed),
-            leave_lo=arch.leave_window[0].minutes,
-            leave_span=arch.leave_window[1].minutes - arch.leave_window[0].minutes + 1,
-            return_lo=arch.return_window[0].minutes,
-            return_span=arch.return_window[1].minutes - arch.return_window[0].minutes + 1,
         )
 
 

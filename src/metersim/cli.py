@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
 import time
 
 from . import __version__
-from .domain import Scenario, ScenarioValidationError, TimeOfDay, load_scenario
+from .domain import DEFAULT_PEAK_WINDOW, Scenario, ScenarioValidationError, TimeOfDay, load_scenario
 from .engine import STREAM_ANALYSIS, STREAM_NETWORK, run, substream
 from .metrics import (
     DEFAULT_BUCKET_MINUTES,
@@ -33,13 +32,11 @@ from .metrics import (
     read_load_curve,
     write_load_curve,
 )
-from .network import BadDegreeError, clustering_coefficient, generate_small_world, mean_path_length_sampled
+from .network import clustering_coefficient, generate_small_world, mean_path_length_sampled
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID = 2
-
-DEFAULT_WINDOW = "17:00-20:00"
 
 
 def _parse_window_arg(text: str) -> tuple[TimeOfDay, TimeOfDay]:
@@ -53,39 +50,26 @@ def _parse_window_arg(text: str) -> tuple[TimeOfDay, TimeOfDay]:
     return window
 
 
-def _load_scenario_or_exit(path: str) -> Scenario | int:
+def _load_scenario_or_exit(args: argparse.Namespace) -> Scenario | int:
+    """The scenario named by --config, with the --seed and
+    --experienced-fraction overrides the subcommand has, or an exit code."""
+    overrides = {
+        "seed": getattr(args, "seed", None),
+        "initial_experienced_fraction": getattr(args, "experienced_fraction", None),
+    }
     try:
-        return load_scenario(path)
+        return load_scenario(args.config, overrides)
     except ScenarioValidationError as exc:
         for issue in exc.issues:
             print(str(issue), file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        print(f"cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
 
 
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario | int:
-    config = scenario.config
-    if getattr(args, "seed", None) is not None:
-        if not 0 <= args.seed < 2**64:
-            print("BadValue: --seed must be an unsigned 64-bit integer", file=sys.stderr)
-            return EXIT_INVALID
-        config = dataclasses.replace(config, seed=args.seed)
-    fraction = getattr(args, "experienced_fraction", None)
-    if fraction is not None:
-        if not 0.0 <= fraction <= 1.0:
-            print("BadValue: --experienced-fraction must be in [0, 1]", file=sys.stderr)
-            return EXIT_INVALID
-        config = dataclasses.replace(config, initial_experienced_fraction=fraction)
-    return dataclasses.replace(scenario, config=config)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_or_exit(args.config)
-    if isinstance(scenario, int):
-        return scenario
-    scenario = _apply_overrides(scenario, args)
+    scenario = _load_scenario_or_exit(args)
     if isinstance(scenario, int):
         return scenario
 
@@ -100,7 +84,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     started = time.monotonic()
     output = run(scenario, record_events=args.events)
-    curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
+    try:
+        curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
+    except ValueError as exc:
+        print(f"BadCurve: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -182,23 +170,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_network_stats(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_or_exit(args.config)
-    if isinstance(scenario, int):
-        return scenario
-    scenario = _apply_overrides(scenario, args)
+    scenario = _load_scenario_or_exit(args)
     if isinstance(scenario, int):
         return scenario
     config = scenario.config
-    try:
-        net = generate_small_world(
-            config.population,
-            config.network_mean_degree_K,
-            config.network_rewire_beta,
-            substream(config.seed, STREAM_NETWORK),
-        )
-    except BadDegreeError as exc:
-        print(f"BadDegree: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    net = generate_small_world(
+        config.population,
+        config.network_mean_degree_K,
+        config.network_rewire_beta,
+        substream(config.seed, STREAM_NETWORK),
+    )
 
     mean_degree = 2 * net.edge_count / net.node_count
     clustering = clustering_coefficient(net)
@@ -212,7 +193,7 @@ def cmd_network_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_or_exit(args.config)
+    scenario = _load_scenario_or_exit(args)
     if isinstance(scenario, int):
         return scenario
     print("ok")
@@ -241,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("base", help="baseline curve CSV")
     p_cmp.add_argument("treated", help="treated curve CSV")
     p_cmp.add_argument(
-        "--window", type=_parse_window_arg, default=_parse_window_arg(DEFAULT_WINDOW),
-        help=f"evaluation window, HH:MM-HH:MM (default {DEFAULT_WINDOW})",
+        "--window", type=_parse_window_arg, default=DEFAULT_PEAK_WINDOW,
+        help="evaluation window, HH:MM-HH:MM (default {}-{})".format(*DEFAULT_PEAK_WINDOW),
     )
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -11,7 +11,8 @@ the first one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Mapping
 
 MINUTES_PER_DAY = 1440
@@ -56,6 +57,9 @@ class TimeOfDay:
 
     def __str__(self) -> str:
         return f"{self.minutes // 60:02d}:{self.minutes % 60:02d}"
+
+
+DEFAULT_PEAK_WINDOW = (TimeOfDay(17 * 60), TimeOfDay(20 * 60))
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +147,7 @@ class ScenarioConfig:
     tick_minutes: int
     base_interaction_rate: float
     seed: int
-    peak_window: tuple[TimeOfDay, TimeOfDay] = (TimeOfDay(1020), TimeOfDay(1200))
+    peak_window: tuple[TimeOfDay, TimeOfDay] = DEFAULT_PEAK_WINDOW
     peak_suppression: float = 0.5
 
     @property
@@ -158,18 +162,6 @@ class Scenario:
     config: ScenarioConfig
     archetypes: tuple[ArchetypeSpec, ...]
     appliances: tuple[ApplianceSpec, ...]
-
-    def archetype(self, archetype_id: str) -> ArchetypeSpec:
-        for a in self.archetypes:
-            if a.id == archetype_id:
-                return a
-        raise KeyError(archetype_id)
-
-    def appliance(self, appliance_id: str) -> ApplianceSpec:
-        for a in self.appliances:
-            if a.id == appliance_id:
-                return a
-        raise KeyError(appliance_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,125 +191,169 @@ class _Collector:
         self.issues.append(ValidationIssue(code, message))
 
 
-def _get_number(
-    obj: Mapping[str, Any], key: str, where: str, errs: _Collector,
-    *, default: float | None = None, required: bool = True,
-) -> float | None:
-    if key not in obj:
-        if required:
-            errs.add(BAD_VALUE, f"{where}: missing field '{key}'")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errs.add(BAD_VALUE, f"{where}: field '{key}' must be a number, got {value!r}")
-        return default
-    return float(value)
+@dataclass(frozen=True, slots=True)
+class FieldSpec:
+    """One numeric field of a scenario document and the values it accepts.
+
+    kind is int or float.  A value must lie in [lo, hi], or in (lo, hi]
+    when lo_open is set; hi None means no upper bound.  A value of another
+    type, a bool, NaN or an infinity is BadValue; one out of range gets
+    code.  An absent optional field keeps the default of the dataclass
+    field it fills; nullable lets JSON null through as None.
+    """
+
+    key: str
+    kind: type
+    lo: float
+    hi: float | None = None
+    lo_open: bool = False
+    code: str = BAD_VALUE
+    optional: bool = False
+    nullable: bool = False
+
+    def contains(self, x: float) -> bool:
+        above = x > self.lo if self.lo_open else x >= self.lo
+        return above and (self.hi is None or x <= self.hi)
+
+    def describe(self) -> str:
+        kind = "an integer" if self.kind is int else "a finite number"
+        if self.hi is None:
+            return f"{kind} {'>' if self.lo_open else '>='} {self.lo}"
+        return f"{kind} in {'(' if self.lo_open else '['}{self.lo}, {self.hi}]"
 
 
-def _get_int(
-    obj: Mapping[str, Any], key: str, where: str, errs: _Collector,
-    *, default: int | None = None, required: bool = True,
-) -> int | None:
-    if key not in obj:
-        if required:
-            errs.add(BAD_VALUE, f"{where}: missing field '{key}'")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        errs.add(BAD_VALUE, f"{where}: field '{key}' must be an integer, got {value!r}")
-        return default
-    return value
+SCENARIO_FIELDS = (
+    FieldSpec("population", int, 0, lo_open=True),
+    FieldSpec("network_mean_degree_K", int, 2, code=BAD_DEGREE),
+    FieldSpec("network_rewire_beta", float, 0, 1),
+    FieldSpec("p_threshold", float, 0, 1, lo_open=True),
+    FieldSpec("intervention_start_day", int, 0),
+    FieldSpec("initial_experienced_fraction", float, 0, 1),
+    FieldSpec("horizon_days", int, 0, lo_open=True),
+    FieldSpec("tick_minutes", int, 0, lo_open=True),
+    FieldSpec("base_interaction_rate", float, 0, 1),
+    FieldSpec("seed", int, 0, 2**64 - 1),
+    FieldSpec("peak_suppression", float, 0, 1, optional=True),
+)
+ARCHETYPE_FIELDS = (
+    FieldSpec("awareness", float, 0, 1),
+    FieldSpec("learning_rate_k", float, 0, lo_open=True),
+    FieldSpec("max_attainable_M", float, 0, 1, lo_open=True),
+)
+APPLIANCE_FIELDS = (
+    FieldSpec("power_watts", float, 0, lo_open=True),
+    FieldSpec("mean_on_minutes", float, 0, lo_open=True, optional=True, nullable=True),
+)
+# each entry of these objects and lists, keyed by the field that holds them
+MIX_FRACTION = FieldSpec("archetype_mix", float, 0, 1)
+PROPENSITY = FieldSpec("usage_profile", float, 0, 1)
+APPLIANCE_COUNT = FieldSpec("appliances", int, 0)
 
 
-def _get_str(obj: Mapping[str, Any], key: str, where: str, errs: _Collector) -> str | None:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        errs.add(BAD_VALUE, f"{where}: field '{key}' must be a non-empty string")
-        return None
-    return value
+def _number(value: Any, spec: FieldSpec, where: str, errs: _Collector, entry: Any = None) -> Any:
+    """value as spec.kind when it has that type and lies in range;
+    otherwise None, with the violation added to errs.  entry names the
+    list index or object key of an entry of the field."""
+    number = None
+    if isinstance(value, (int, spec.kind)) and not isinstance(value, bool):
+        try:
+            number = spec.kind(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    if number is None or (isinstance(number, float) and not math.isfinite(number)):
+        code = BAD_VALUE
+    elif spec.contains(number):
+        return number
+    else:
+        code = spec.code
+    label = spec.key if entry is None else f"{spec.key}[{entry!r}]"
+    errs.add(code, f"{where}: {label} must be {spec.describe()}, got {value!r}")
+    return None
+
+
+def _read_fields(
+    obj: Mapping[str, Any], specs: tuple[FieldSpec, ...], where: str, errs: _Collector,
+) -> dict[str, Any]:
+    """The valid values of specs' fields in obj, by key.
+
+    A field that is missing, of the wrong type or out of range is reported
+    and left out, and so is an absent optional field.
+    """
+    values: dict[str, Any] = {}
+    for spec in specs:
+        if spec.key not in obj:
+            if not spec.optional:
+                errs.add(BAD_VALUE, f"{where}: missing field '{spec.key}'")
+        elif obj[spec.key] is None and spec.nullable:
+            values[spec.key] = None
+        else:
+            value = _number(obj[spec.key], spec, where, errs)
+            if value is not None:
+                values[spec.key] = value
+    return values
+
+
+def _build(cls: type, values: Mapping[str, Any]) -> Any:
+    """cls(**values) once values holds every field of cls that has no
+    default; None while one of them is missing or was invalid."""
+    if all(f.name in values for f in fields(cls) if f.default is MISSING):
+        return cls(**values)
+    return None
+
+
+def _read_id(obj: Mapping[str, Any], where: str, values: dict[str, Any], errs: _Collector) -> None:
+    """Add a catalog entry's id, and its label (the id when absent), to values."""
+    entry_id = obj.get("id")
+    if isinstance(entry_id, str) and entry_id:
+        values["id"] = entry_id
+        values["label"] = str(obj.get("label", entry_id))
+    else:
+        errs.add(BAD_VALUE, f"{where}: field 'id' must be a non-empty string")
 
 
 def _parse_window(
     obj: Mapping[str, Any], key: str, where: str, errs: _Collector,
 ) -> tuple[TimeOfDay, TimeOfDay] | None:
     raw = obj.get(key)
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        errs.add(BAD_WINDOW, f"{where}: '{key}' must be a [start, end] pair of HH:MM strings")
-        return None
     try:
+        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+            raise ValueError("must be a [start, end] pair of HH:MM strings")
         start, end = TimeOfDay.parse(raw[0]), TimeOfDay.parse(raw[1])
+        if start.minutes > end.minutes:
+            raise ValueError(f"start {start} is after end {end}")
     except ValueError as exc:
         errs.add(BAD_WINDOW, f"{where}: '{key}': {exc}")
-        return None
-    if start.minutes > end.minutes:
-        errs.add(BAD_WINDOW, f"{where}: '{key}' start {start} is after end {end}")
         return None
     return (start, end)
 
 
-def _parse_appliance(obj: Any, index: int, errs: _Collector) -> ApplianceSpec | None:
-    where = f"appliances[{index}]"
-    if not isinstance(obj, Mapping):
-        errs.add(BAD_VALUE, f"{where}: must be an object")
-        return None
-    appliance_id = _get_str(obj, "id", where, errs)
-    label = obj.get("label", appliance_id or "")
-    power = _get_number(obj, "power_watts", where, errs)
-    if power is not None and power <= 0:
-        errs.add(BAD_VALUE, f"{where}: power_watts must be positive, got {power}")
-        power = None
+def _parse_appliance(obj: Mapping[str, Any], where: str, errs: _Collector) -> ApplianceSpec | None:
+    values = _read_fields(obj, APPLIANCE_FIELDS, where, errs)
+    _read_id(obj, where, values, errs)
 
-    profile_raw = obj.get("usage_profile")
-    profile: tuple[float, ...] | None = None
-    if not isinstance(profile_raw, (list, tuple)):
+    profile = obj.get("usage_profile")
+    if not isinstance(profile, (list, tuple)):
         errs.add(BAD_PROFILE_LENGTH, f"{where}: usage_profile must be a list of {PROFILE_BUCKETS} numbers")
-    elif len(profile_raw) != PROFILE_BUCKETS:
+    elif len(profile) != PROFILE_BUCKETS:
         errs.add(
             BAD_PROFILE_LENGTH,
-            f"{where}: usage_profile has {len(profile_raw)} entries, expected {PROFILE_BUCKETS}",
+            f"{where}: usage_profile has {len(profile)} entries, expected {PROFILE_BUCKETS}",
         )
     else:
-        ok = True
-        for i, v in enumerate(profile_raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= float(v) <= 1.0:
-                errs.add(BAD_VALUE, f"{where}: usage_profile[{i}] must be a number in [0, 1], got {v!r}")
-                ok = False
-        if ok:
-            profile = tuple(float(v) for v in profile_raw)
+        read = [_number(v, PROPENSITY, where, errs, i) for i, v in enumerate(profile)]
+        if None not in read:
+            values["usage_profile"] = tuple(read)
 
-    deferrable = obj.get("deferrable", False)
-    if not isinstance(deferrable, bool):
+    values["deferrable"] = obj.get("deferrable", False)
+    if not isinstance(values["deferrable"], bool):
         errs.add(BAD_VALUE, f"{where}: deferrable must be a boolean")
-        deferrable = False
-
-    mean_on: float | None
-    if "mean_on_minutes" in obj and obj["mean_on_minutes"] is None:
-        mean_on = None  # never switches itself off
-    else:
-        mean_on = _get_number(obj, "mean_on_minutes", where, errs, default=60.0, required=False)
-        if mean_on is not None and mean_on <= 0:
-            errs.add(BAD_VALUE, f"{where}: mean_on_minutes must be positive or null")
-            mean_on = 60.0
-
-    if appliance_id is None or power is None or profile is None:
-        return None
-    return ApplianceSpec(
-        id=appliance_id,
-        label=str(label),
-        power_watts=power,
-        usage_profile=profile,
-        deferrable=deferrable,
-        mean_on_minutes=mean_on,
-    )
+        values["deferrable"] = False
+    return _build(ApplianceSpec, values)
 
 
-def _parse_archetype(obj: Any, index: int, errs: _Collector) -> ArchetypeSpec | None:
-    where = f"archetypes[{index}]"
-    if not isinstance(obj, Mapping):
-        errs.add(BAD_VALUE, f"{where}: must be an object")
-        return None
-    archetype_id = _get_str(obj, "id", where, errs)
-    label = obj.get("label", archetype_id or "")
+def _parse_archetype(obj: Mapping[str, Any], where: str, errs: _Collector) -> ArchetypeSpec | None:
+    values = _read_fields(obj, ARCHETYPE_FIELDS, where, errs)
+    _read_id(obj, where, values, errs)
 
     leave = _parse_window(obj, "leave_window", where, errs)
     ret = _parse_window(obj, "return_window", where, errs)
@@ -327,165 +363,56 @@ def _parse_archetype(obj: Any, index: int, errs: _Collector) -> ArchetypeSpec | 
             f"{where}: leave_window must end before return_window starts "
             f"({leave[1]} vs {ret[0]})",
         )
-        leave = ret = None
+    elif leave is not None and ret is not None:
+        values.update(leave_window=leave, return_window=ret)
 
-    awareness = _get_number(obj, "awareness", where, errs)
-    if awareness is not None and not 0.0 <= awareness <= 1.0:
-        errs.add(BAD_VALUE, f"{where}: awareness must be in [0, 1], got {awareness}")
-        awareness = None
-    k = _get_number(obj, "learning_rate_k", where, errs)
-    if k is not None and k <= 0:
-        errs.add(BAD_VALUE, f"{where}: learning_rate_k must be positive, got {k}")
-        k = None
-    m = _get_number(obj, "max_attainable_M", where, errs)
-    if m is not None and not 0.0 < m <= 1.0:
-        errs.add(BAD_VALUE, f"{where}: max_attainable_M must be in (0, 1], got {m}")
-        m = None
-
-    bundle_raw = obj.get("appliances")
-    bundle: tuple[tuple[str, int], ...] | None = None
-    if not isinstance(bundle_raw, Mapping):
+    bundle = obj.get("appliances")
+    if not isinstance(bundle, Mapping):
         errs.add(BAD_VALUE, f"{where}: appliances must be an object of id -> count")
     else:
-        items: list[tuple[str, int]] = []
-        ok = True
-        for app_id, count in bundle_raw.items():
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                errs.add(BAD_VALUE, f"{where}: appliance count for '{app_id}' must be a non-negative integer")
-                ok = False
-            else:
-                items.append((str(app_id), count))
-        if ok:
-            bundle = tuple(items)
-
-    if None in (archetype_id, leave, ret, awareness, k, m) or bundle is None:
-        return None
-    return ArchetypeSpec(
-        id=archetype_id,  # type: ignore[arg-type]
-        label=str(label),
-        leave_window=leave,  # type: ignore[arg-type]
-        return_window=ret,  # type: ignore[arg-type]
-        awareness=awareness,  # type: ignore[arg-type]
-        learning_rate_k=k,  # type: ignore[arg-type]
-        max_attainable_M=m,  # type: ignore[arg-type]
-        appliances=bundle,
-    )
+        counts = [_number(n, APPLIANCE_COUNT, where, errs, app_id) for app_id, n in bundle.items()]
+        if None not in counts:
+            values["appliances"] = tuple(zip(map(str, bundle), counts))
+    return _build(ArchetypeSpec, values)
 
 
-def _parse_scenario_section(
-    obj: Any, errs: _Collector,
-) -> ScenarioConfig | None:
+def _parse_scenario_section(obj: Mapping[str, Any], errs: _Collector) -> ScenarioConfig | None:
     where = "scenario"
-    if not isinstance(obj, Mapping):
-        errs.add(BAD_VALUE, "scenario: must be an object")
-        return None
+    values = _read_fields(obj, SCENARIO_FIELDS, where, errs)
 
-    population = _get_int(obj, "population", where, errs)
-    if population is not None and population <= 0:
-        errs.add(BAD_VALUE, f"{where}: population must be positive, got {population}")
-        population = None
-
-    mix_raw = obj.get("archetype_mix")
-    mix: tuple[tuple[str, float], ...] | None = None
-    if not isinstance(mix_raw, Mapping) or not mix_raw:
+    mix = obj.get("archetype_mix")
+    if not isinstance(mix, Mapping) or not mix:
         errs.add(BAD_VALUE, f"{where}: archetype_mix must be a non-empty object of id -> fraction")
     else:
-        pairs: list[tuple[str, float]] = []
-        ok = True
-        for arch_id, frac in mix_raw.items():
-            if isinstance(frac, bool) or not isinstance(frac, (int, float)) or not 0.0 <= float(frac) <= 1.0:
-                errs.add(BAD_VALUE, f"{where}: mix fraction for '{arch_id}' must be a number in [0, 1]")
-                ok = False
-            else:
-                pairs.append((str(arch_id), float(frac)))
-        if ok:
-            total = sum(f for _, f in pairs)
+        fractions = [_number(f, MIX_FRACTION, where, errs, arch_id) for arch_id, f in mix.items()]
+        if None not in fractions:
+            total = sum(fractions)
             if abs(total - 1.0) > MIX_TOLERANCE:
                 errs.add(MIX_NOT_NORMALIZED, f"{where}: archetype_mix sums to {total!r}, expected 1.0")
             else:
-                mix = tuple(pairs)
+                values["archetype_mix"] = tuple(zip(map(str, mix), fractions))
 
-    degree = _get_int(obj, "network_mean_degree_K", where, errs)
-    if degree is not None and (degree <= 0 or degree % 2 != 0):
-        errs.add(BAD_DEGREE, f"{where}: network_mean_degree_K must be a positive even integer, got {degree}")
-        degree = None
-    if degree is not None and population is not None and degree >= population:
+    degree = values.get("network_mean_degree_K")
+    population = values.get("population")
+    if degree is not None and degree % 2 != 0:
+        errs.add(BAD_DEGREE, f"{where}: network_mean_degree_K must be even, got {degree}")
+        del values["network_mean_degree_K"]
+    elif degree is not None and population is not None and degree >= population:
         errs.add(BAD_DEGREE, f"{where}: network_mean_degree_K ({degree}) must be smaller than population ({population})")
-        degree = None
+        del values["network_mean_degree_K"]
 
-    beta = _get_number(obj, "network_rewire_beta", where, errs)
-    if beta is not None and not 0.0 <= beta <= 1.0:
-        errs.add(BAD_VALUE, f"{where}: network_rewire_beta must be in [0, 1], got {beta}")
-        beta = None
+    tick = values.get("tick_minutes")
+    if tick is not None and MINUTES_PER_DAY % tick != 0:
+        errs.add(BAD_VALUE, f"{where}: tick_minutes must divide {MINUTES_PER_DAY}, got {tick}")
+        del values["tick_minutes"]
 
-    p_threshold = _get_number(obj, "p_threshold", where, errs)
-    if p_threshold is not None and not 0.0 < p_threshold <= 1.0:
-        errs.add(BAD_VALUE, f"{where}: p_threshold must be in (0, 1], got {p_threshold}")
-        p_threshold = None
-
-    start_day = _get_int(obj, "intervention_start_day", where, errs)
-    if start_day is not None and start_day < 0:
-        errs.add(BAD_VALUE, f"{where}: intervention_start_day must be non-negative, got {start_day}")
-        start_day = None
-
-    exp_frac = _get_number(obj, "initial_experienced_fraction", where, errs)
-    if exp_frac is not None and not 0.0 <= exp_frac <= 1.0:
-        errs.add(BAD_VALUE, f"{where}: initial_experienced_fraction must be in [0, 1], got {exp_frac}")
-        exp_frac = None
-
-    horizon = _get_int(obj, "horizon_days", where, errs)
-    if horizon is not None and horizon <= 0:
-        errs.add(BAD_VALUE, f"{where}: horizon_days must be positive, got {horizon}")
-        horizon = None
-
-    tick = _get_int(obj, "tick_minutes", where, errs)
-    if tick is not None and (tick <= 0 or MINUTES_PER_DAY % tick != 0):
-        errs.add(BAD_VALUE, f"{where}: tick_minutes must be a positive divisor of 1440, got {tick}")
-        tick = None
-
-    rate = _get_number(obj, "base_interaction_rate", where, errs)
-    if rate is not None and not 0.0 <= rate <= 1.0:
-        errs.add(BAD_VALUE, f"{where}: base_interaction_rate must be in [0, 1], got {rate}")
-        rate = None
-
-    seed = _get_int(obj, "seed", where, errs)
-    if seed is not None and not 0 <= seed < 2**64:
-        errs.add(BAD_VALUE, f"{where}: seed must be an unsigned 64-bit integer, got {seed}")
-        seed = None
-
-    peak_window = (TimeOfDay(1020), TimeOfDay(1200))  # 17:00 to 20:00
     if "peak_window" in obj:
-        parsed = _parse_window(obj, "peak_window", where, errs)
-        if parsed is not None:
-            if parsed[0].minutes >= parsed[1].minutes:
-                errs.add(BAD_WINDOW, f"{where}: peak_window must be non-empty")
-            else:
-                peak_window = parsed
-
-    suppression = _get_number(obj, "peak_suppression", where, errs, default=0.5, required=False)
-    if suppression is None or not 0.0 <= suppression <= 1.0:
-        errs.add(BAD_VALUE, f"{where}: peak_suppression must be in [0, 1]")
-        suppression = 0.5
-
-    fields = (population, mix, degree, beta, p_threshold, start_day, exp_frac,
-              horizon, tick, rate, seed)
-    if any(f is None for f in fields):
-        return None
-    return ScenarioConfig(
-        population=population,  # type: ignore[arg-type]
-        archetype_mix=mix,  # type: ignore[arg-type]
-        network_mean_degree_K=degree,  # type: ignore[arg-type]
-        network_rewire_beta=beta,  # type: ignore[arg-type]
-        p_threshold=p_threshold,  # type: ignore[arg-type]
-        intervention_start_day=start_day,  # type: ignore[arg-type]
-        initial_experienced_fraction=exp_frac,  # type: ignore[arg-type]
-        horizon_days=horizon,  # type: ignore[arg-type]
-        tick_minutes=tick,  # type: ignore[arg-type]
-        base_interaction_rate=rate,  # type: ignore[arg-type]
-        seed=seed,  # type: ignore[arg-type]
-        peak_window=peak_window,
-        peak_suppression=suppression,
-    )
+        window = _parse_window(obj, "peak_window", where, errs)
+        if window is not None and window[0].minutes >= window[1].minutes:
+            errs.add(BAD_WINDOW, f"{where}: peak_window must be non-empty")
+        elif window is not None:
+            values["peak_window"] = window
+    return _build(ScenarioConfig, values)
 
 
 def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
@@ -500,35 +427,29 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
         errs.add(BAD_VALUE, "document root must be an object")
         raise ScenarioValidationError(errs.issues)
 
-    config = _parse_scenario_section(raw.get("scenario"), errs)
-
-    appliances: list[ApplianceSpec] = []
-    appliances_raw = raw.get("appliances")
-    if not isinstance(appliances_raw, list):
-        errs.add(BAD_VALUE, "appliances: must be a list")
+    config = None
+    if isinstance(raw.get("scenario"), Mapping):
+        config = _parse_scenario_section(raw["scenario"], errs)
     else:
-        for i, obj in enumerate(appliances_raw):
-            spec = _parse_appliance(obj, i, errs)
-            if spec is not None:
-                appliances.append(spec)
+        errs.add(BAD_VALUE, "scenario: must be an object")
 
-    archetypes: list[ArchetypeSpec] = []
-    archetypes_raw = raw.get("archetypes")
-    if not isinstance(archetypes_raw, list):
-        errs.add(BAD_VALUE, "archetypes: must be a list")
-    else:
-        for i, obj in enumerate(archetypes_raw):
-            spec = _parse_archetype(obj, i, errs)
-            if spec is not None:
-                archetypes.append(spec)
-
-    # duplicate ids make cross references ambiguous
-    seen: set[str] = set()
-    for spec_list, kind in ((appliances, "appliance"), (archetypes, "archetype")):
-        for s in spec_list:
-            if s.id in seen:
-                errs.add(BAD_VALUE, f"duplicate {kind} id '{s.id}'")
-            seen.add(s.id)
+    parsed: dict[str, list[Any]] = {"appliances": [], "archetypes": []}
+    seen: set[str] = set()  # duplicate ids make cross references ambiguous
+    for section, parse in (("appliances", _parse_appliance), ("archetypes", _parse_archetype)):
+        entries = raw.get(section)
+        if not isinstance(entries, list):
+            errs.add(BAD_VALUE, f"{section}: must be a list")
+            continue
+        for i, obj in enumerate(entries):
+            where = f"{section}[{i}]"
+            if not isinstance(obj, Mapping):
+                errs.add(BAD_VALUE, f"{where}: must be an object")
+            elif (spec := parse(obj, where, errs)) is not None:
+                if spec.id in seen:
+                    errs.add(BAD_VALUE, f"duplicate {section[:-1]} id '{spec.id}'")
+                seen.add(spec.id)
+                parsed[section].append(spec)
+    appliances, archetypes = parsed["appliances"], parsed["archetypes"]
 
     appliance_ids = {a.id for a in appliances}
     archetype_ids = {a.id for a in archetypes}
@@ -566,8 +487,13 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     return Scenario(config=config, archetypes=tuple(archetypes), appliances=tuple(appliances))
 
 
-def load_scenario(path: str) -> Scenario:
-    """Read and validate a scenario JSON file."""
+def load_scenario(path: str, overrides: Mapping[str, Any] | None = None) -> Scenario:
+    """Read and validate a scenario JSON file.
+
+    overrides replaces fields of the "scenario" section before validation,
+    so they obey the same rules as the file; None values are skipped, which
+    lets unset command line options pass straight through.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -575,4 +501,6 @@ def load_scenario(path: str) -> Scenario:
             raise ScenarioValidationError(
                 [ValidationIssue(BAD_VALUE, f"not valid JSON: {exc}")]
             ) from exc
+    if overrides and isinstance(raw, dict) and isinstance(raw.get("scenario"), dict):
+        raw["scenario"].update((k, v) for k, v in overrides.items() if v is not None)
     return validate_scenario(raw)

@@ -37,7 +37,7 @@ from .behavior import (
 )
 from .domain import AgentState, LearningState, Scenario
 from .learning import trials_to_threshold
-from .network import Network, generate_small_world
+from .network import generate_small_world
 
 # substream spawn keys under the master seed
 STREAM_POPULATION = 0
@@ -248,9 +248,3 @@ def run(scenario: Scenario, *, record_events: bool = False) -> SimOutput:
     rerun yields identical series, events and adoption counts.
     """
     return Simulation(scenario, record_events=record_events).run_all()
-
-
-def build_population(scenario: Scenario) -> tuple[list[AgentState], Network]:
-    """Materialize the day zero population and its contact network."""
-    sim = Simulation(scenario)
-    return sim.agents, sim.network

@@ -55,10 +55,6 @@ class LoadCurve:
         if any(v < 0 or not math.isfinite(v) for v in self.values):
             raise ValueError("curve values must be finite and non-negative")
 
-    @property
-    def bucket_count(self) -> int:
-        return len(self.values)
-
 
 def aggregate_load(output: SimOutput, bucket_minutes: int = DEFAULT_BUCKET_MINUTES) -> LoadCurve:
     """Fold a run's tick series into a time-of-day curve.

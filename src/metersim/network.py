@@ -19,10 +19,6 @@ class BadDegreeError(ValueError):
     """K is odd, too small, or not below the node count."""
 
 
-class UnknownNodeError(ValueError):
-    """Node id outside [0, node_count)."""
-
-
 @dataclass(frozen=True, slots=True)
 class Network:
     """Undirected graph as sorted per node adjacency tuples."""
@@ -77,13 +73,6 @@ def generate_small_world(
         node_count=n,
         adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
     )
-
-
-def neighbors(net: Network, node_id: int) -> tuple[int, ...]:
-    """Sorted neighbour ids of node_id."""
-    if not 0 <= node_id < net.node_count:
-        raise UnknownNodeError(f"node {node_id} not in [0, {net.node_count})")
-    return net.adjacency[node_id]
 
 
 def clustering_coefficient(net: Network) -> float:

@@ -125,6 +125,30 @@ def test_run_experienced_fraction_override(tiny_config, tmp_path, capsys):
     assert code == 2
 
 
+def test_run_overrides_obey_cross_field_rules(tiny_config, tmp_path, capsys):
+    # validates as written; pre-seeding makes the unreachable threshold an error
+    config = tiny_config(name="unreachable.json", M=0.8, p_threshold=0.85, exp_frac=0.0)
+    assert main(["validate", "--config", config]) == 0
+    code = main(["run", "--config", config, "--out", str(tmp_path / "o"),
+                 "--experienced-fraction", "0.5"])
+    assert code == 2
+    assert "BadValue" in capsys.readouterr().err
+
+
+def test_run_reports_a_bad_curve_instead_of_a_traceback(tmp_path, capsys):
+    # fractional wattages let the running load sum drift to -1.9e-14 W at
+    # seed 4, which the load curve refuses
+    doc = tiny_doc(population=50, horizon=2, tick=10, seed=4)
+    for appliance, watts in zip(doc["appliances"], (0.1, 0.7)):
+        appliance["power_watts"] = watts
+        appliance["mean_on_minutes"] = 10
+        appliance["usage_profile"] = [0.5] * 24 + [0.0] * 24
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "BadCurve" in capsys.readouterr().err
+
+
 def test_run_rejects_tick_that_does_not_fit_output_buckets(tiny_config, tmp_path, capsys):
     config = tiny_config(name="tick20.json", tick=20)
     assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2

@@ -1,14 +1,23 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metersim.cli import main
 from metersim.domain import (
+    APPLIANCE_COUNT,
+    APPLIANCE_FIELDS,
+    ARCHETYPE_FIELDS,
     BAD_DEGREE,
     BAD_PROFILE_LENGTH,
+    BAD_VALUE,
     BAD_WINDOW,
+    MIX_FRACTION,
     MIX_NOT_NORMALIZED,
+    PROPENSITY,
+    SCENARIO_FIELDS,
     UNKNOWN_APPLIANCE,
     UNKNOWN_ARCHETYPE,
     Scenario,
@@ -59,8 +68,8 @@ def test_sample_config_round_trip(sample_path):
 def test_valid_tiny_doc_passes():
     scenario = validate_scenario(tiny_doc())
     assert scenario.config.population == 6
-    assert scenario.archetype("resident").awareness == 1.0
-    assert scenario.appliance("shifter").deferrable
+    assert scenario.archetypes[0].awareness == 1.0
+    assert [a.deferrable for a in scenario.appliances] == [False, True]
 
 
 def test_mix_not_normalized():
@@ -169,6 +178,90 @@ def test_scenario_field_ranges(field, value):
     doc["scenario"][field] = value
     with pytest.raises(ScenarioValidationError):
         validate_scenario(doc)
+
+
+def _set_in(*path):
+    def place(doc, value):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return place
+
+
+# where each spec's value sits in tiny_doc
+TABLE_PLACES = (
+    [(spec, _set_in("scenario", spec.key)) for spec in SCENARIO_FIELDS]
+    + [(spec, _set_in("archetypes", 0, spec.key)) for spec in ARCHETYPE_FIELDS]
+    + [(spec, _set_in("appliances", 0, spec.key)) for spec in APPLIANCE_FIELDS]
+)
+FIELD_PLACES = TABLE_PLACES + [
+    (MIX_FRACTION, _set_in("scenario", "archetype_mix", "resident")),
+    (PROPENSITY, _set_in("appliances", 0, "usage_profile", 0)),
+    (APPLIANCE_COUNT, _set_in("archetypes", 0, "appliances", "heater")),
+]
+
+
+def _out_of_range(spec):
+    """Values just outside each bound of spec."""
+    def step(bound, direction):
+        if spec.kind is int:
+            return bound + direction
+        return math.nextafter(bound, direction * math.inf)
+
+    values = [spec.lo if spec.lo_open else step(spec.lo, -1)]
+    if spec.hi is not None:
+        values.append(step(spec.hi, 1))
+    return values
+
+
+def _bad_value_cases():
+    for spec, place in FIELD_PLACES:
+        # a value of the wrong type is BadValue whatever the field's range code
+        wrong = [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                 ("bool", True), ("str", "1")]
+        if spec.kind is float:
+            wrong.append(("huge", 10**400))  # an integer no float can hold
+        for label, value in wrong:
+            yield pytest.param(spec.key, place, value, BAD_VALUE, id=f"{spec.key}-{label}")
+        for value in _out_of_range(spec):
+            yield pytest.param(spec.key, place, value, spec.code, id=f"{spec.key}-{value!r}")
+
+
+@pytest.mark.parametrize("key, place, value, code", list(_bad_value_cases()))
+def test_field_table_rejects_bad_values(tmp_path, capsys, key, place, value, code):
+    doc = tiny_doc()
+    place(doc, value)
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        validate_scenario(doc)
+    first = excinfo.value.issues[0]
+    assert first.code == code and key in first.message
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity as JSON extensions
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{code}: ")
+
+
+@pytest.mark.parametrize("spec, place", TABLE_PLACES, ids=[s.key for s, _ in TABLE_PLACES])
+def test_field_table_accepts_closed_bounds(spec, place):
+    for value in (None if spec.lo_open else spec.lo, spec.hi):
+        if value is not None:
+            doc = tiny_doc()
+            place(doc, value)
+            validate_scenario(doc)
+
+
+def test_optional_fields_take_the_dataclass_defaults():
+    doc = tiny_doc()
+    del doc["appliances"][0]["mean_on_minutes"]
+    doc["appliances"][1]["mean_on_minutes"] = None
+    scenario = validate_scenario(doc)
+    assert [a.mean_on_minutes for a in scenario.appliances] == [60.0, None]
+    assert scenario.config.peak_suppression == 0.5
+    # integers stay int; numbers are stored as float even when written as 100
+    assert type(scenario.config.seed) is int
+    assert type(scenario.appliances[0].power_watts) is float
 
 
 def test_json_decode_failure_is_a_validation_error(tmp_path):

@@ -14,8 +14,8 @@ from metersim.behavior import (
 from metersim.domain import TimeOfDay, validate_scenario
 from metersim.engine import (
     STREAM_AGENT,
+    Simulation,
     apportion,
-    build_population,
     run,
     substream,
 )
@@ -254,8 +254,9 @@ def test_apportion(total, weights, expected):
 
 def test_preseeded_agents_are_experienced_at_threshold():
     scenario = validate_scenario(tiny_doc(population=10, exp_frac=0.9, k=0.5, seed=13))
-    agents, network = build_population(scenario)
-    assert network.node_count == 10
+    sim = Simulation(scenario)
+    agents = sim.agents
+    assert sim.network.node_count == 10
     seeded = [a for a in agents if a.learning is not None]
     assert len(seeded) == 9
     for a in seeded:
@@ -273,15 +274,16 @@ def test_preseeded_agents_are_experienced_at_threshold():
 ])
 def test_preseed_count_rounds_half_up(pop, frac, expected):
     scenario = validate_scenario(tiny_doc(population=pop, degree=2, exp_frac=frac))
-    agents, _ = build_population(scenario)
+    agents = Simulation(scenario).agents
     assert sum(1 for a in agents if a.learning is not None) == expected
 
 
 def test_population_starts_at_home_inside_windows():
     scenario = validate_scenario(tiny_doc(population=20, degree=4, seed=77))
-    agents, network = build_population(scenario)
+    sim = Simulation(scenario)
+    agents = sim.agents
     assert len(agents) == 20
-    assert network.edge_count == 40
+    assert sim.network.edge_count == 40
     for a in agents:
         assert a.at_home
         assert a.learning is None
@@ -304,8 +306,8 @@ def test_scenario_variants_stay_draw_aligned():
                 if e.kind in (LEFT_HOME, RETURNED_HOME)]
 
     assert presence(a.events) == presence(b.events)
-    net_a = build_population(validate_scenario(base_doc))[1]
-    net_b = build_population(validate_scenario(seeded_doc))[1]
+    net_a = Simulation(validate_scenario(base_doc)).network
+    net_b = Simulation(validate_scenario(seeded_doc)).network
     assert net_a.adjacency == net_b.adjacency
 
 

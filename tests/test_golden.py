@@ -1,0 +1,91 @@
+"""Golden output hashes for the sample scenario.
+
+`metersim run --events` on the sample, cut to a one-day horizon, at seeds
+42-46 and experienced fractions 0.0 and 0.9.  Seed and fraction go through
+the CLI overrides, so a change to the engine, the validator or the
+override path that moves a single output byte fails here.  A change that
+means to alter outputs must say so and record the new hashes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from metersim.cli import main
+
+OUTPUTS = ("loadcurve.csv", "adoption.csv", "events.csv")
+
+# (seed, --experienced-fraction) -> SHA-256 of OUTPUTS, in that order
+GOLDEN = {
+    (42, "0.0"): (
+        "743c3b619f0e6ee0187b742fd465dadacd8bc12207ca79933e47715f93e656fd",
+        "b1d70fbee7199dbcd3b956d5e17cbceb391c0f6536db579c23c53266aa177184",
+        "7d61075a9ecc0d5ce5b89746f4b6b0996cd439e44cae94caec46de24bfe891e8",
+    ),
+    (42, "0.9"): (
+        "7acf8dc38bca949f190e2ebc0e4362796f02c16df2af98e239125b5e8a901957",
+        "3fcb5f7c96d1fada6aaf1034cf54b277bf3fdeb2e012ad627ee9776dfd02d779",
+        "ed3d7a4169e5abc8c2f671733ab17f56166beb0d8ef30a1907d3aec4f710c7ed",
+    ),
+    (43, "0.0"): (
+        "9d9dc77ec64881bf1cf9f1b63497250448755e9f81a29d0f8fb7f8a0eda14a66",
+        "b1d70fbee7199dbcd3b956d5e17cbceb391c0f6536db579c23c53266aa177184",
+        "5fddee9a471a41157266dbe1da8bde058429ba49f0cac002d8827dabb8425b75",
+    ),
+    (43, "0.9"): (
+        "82a471eaa51e1bb85bf636f29d32d5e6e31db3b6624bd92d1ae760729d3dcbd8",
+        "3fcb5f7c96d1fada6aaf1034cf54b277bf3fdeb2e012ad627ee9776dfd02d779",
+        "166a3818d3cab9641d7bd10e5ee69a73dce89718d76ca04b72c13d7f3843eefa",
+    ),
+    (44, "0.0"): (
+        "1fb8d4f4a86bb2c3c0c4191c9552ea1ad43ce8eb6e5bd0eedab1145693c410a4",
+        "b1d70fbee7199dbcd3b956d5e17cbceb391c0f6536db579c23c53266aa177184",
+        "751ab1f2cae2a44d3bdeb1f523092bf8aa3dbf1cba7d0d080f62b77ef66d5396",
+    ),
+    (44, "0.9"): (
+        "814021822f7e2d9a6b7978df408c98c62f4af038a6d11120aed4d2da73af2ff1",
+        "3fcb5f7c96d1fada6aaf1034cf54b277bf3fdeb2e012ad627ee9776dfd02d779",
+        "05be44093b70f1172e35980825476a7ed9d95e231a6c0dc5ed1a50b1a30300de",
+    ),
+    (45, "0.0"): (
+        "04e08c30a8e041817a7eaaca08d9d91de1159ac311bb6bc88a74ecd33ed13f6a",
+        "b1d70fbee7199dbcd3b956d5e17cbceb391c0f6536db579c23c53266aa177184",
+        "dd83bd1e3a50e8a77360a60fa94b8d1c90843a2261a13ad1c1bf8c383f53aab1",
+    ),
+    (45, "0.9"): (
+        "cd9101f28d55df633cb4ff139f713d098acd11152ec0f42825406d5cc5b6bae7",
+        "3fcb5f7c96d1fada6aaf1034cf54b277bf3fdeb2e012ad627ee9776dfd02d779",
+        "a5a73331c0e001b3d89c1c377c6b48e4f234e4cdfdfbc3be404e4c3bf35399b4",
+    ),
+    (46, "0.0"): (
+        "8bfe10d361ca05d79c65f7b674cbd91e57b7de23942084d670d75949567591c4",
+        "b1d70fbee7199dbcd3b956d5e17cbceb391c0f6536db579c23c53266aa177184",
+        "fb497a8b79a5ed1a292691329f6ec34a06166a28688cc4fa33aa2e601b358b67",
+    ),
+    (46, "0.9"): (
+        "60b8c8d7daaed6695416ea7a0f9905c9830978211ae6f055bf3b90fdea9ee4d3",
+        "3fcb5f7c96d1fada6aaf1034cf54b277bf3fdeb2e012ad627ee9776dfd02d779",
+        "f0126643ea928ca84cdff38d30f02c7c49b951e5b29e23c86e498a031eb4063c",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def one_day_sample(sample_path, tmp_path_factory):
+    with open(sample_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["scenario"]["horizon_days"] = 1
+    path = tmp_path_factory.mktemp("golden") / "sample_1day.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("seed, fraction", sorted(GOLDEN))
+def test_golden_output_hashes(one_day_sample, tmp_path, capsys, seed, fraction):
+    out = tmp_path / "out"
+    code = main(["run", "--config", one_day_sample, "--out", str(out), "--events",
+                 "--seed", str(seed), "--experienced-fraction", fraction])
+    assert code == 0, capsys.readouterr().err
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS)
+    assert digests == GOLDEN[(seed, fraction)]

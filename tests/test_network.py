@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from metersim.engine import STREAM_NETWORK, substream
 from metersim.network import (
     BadDegreeError,
-    UnknownNodeError,
     clustering_coefficient,
     generate_small_world,
     mean_path_length_sampled,
-    neighbors,
     Network,
 )
 
@@ -21,12 +19,12 @@ def rng(seed=0):
 
 def test_ring_lattice_neighbors_k2():
     net = generate_small_world(6, 2, 0.0, rng())
-    assert neighbors(net, 0) == (1, 5)
+    assert net.adjacency[0] == (1, 5)
 
 
 def test_ring_lattice_neighbors_k4():
     net = generate_small_world(6, 4, 0.0, rng())
-    assert neighbors(net, 3) == (1, 2, 4, 5)
+    assert net.adjacency[3] == (1, 2, 4, 5)
 
 
 def test_neighbor_lists_sorted_and_symmetric():
@@ -52,14 +50,6 @@ def test_degree_errors():
         generate_small_world(10, 3, 0.0, rng())
     with pytest.raises(BadDegreeError):
         generate_small_world(10, 0, 0.0, rng())
-
-
-def test_unknown_node():
-    net = generate_small_world(10, 2, 0.0, rng())
-    with pytest.raises(UnknownNodeError):
-        neighbors(net, 10)
-    with pytest.raises(UnknownNodeError):
-        neighbors(net, -1)
 
 
 def test_clustering_triangle_is_one():
