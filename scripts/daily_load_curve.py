@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from metersim.domain import TimeOfDay, load_scenario
+from metersim.domain import ScenarioValidationError, TimeOfDay, load_scenario
 from metersim.engine import run
 from metersim.metrics import aggregate_load, peak_stats, window_mean, write_load_curve
 
@@ -25,7 +25,12 @@ def main() -> int:
     parser.add_argument("--width", type=int, default=60, help="bar chart width in characters")
     args = parser.parse_args()
 
-    scenario = load_scenario(args.config, {"seed": args.seed})
+    try:
+        scenario = load_scenario(args.config, {"seed": args.seed})
+    except ScenarioValidationError as exc:
+        for issue in exc.issues:
+            print(str(issue), file=sys.stderr)
+        return 2
 
     output = run(scenario)
     curve = aggregate_load(output)

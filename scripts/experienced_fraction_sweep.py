@@ -13,7 +13,7 @@ import csv
 import os
 import sys
 
-from metersim.domain import load_scenario
+from metersim.domain import ScenarioValidationError, load_scenario
 from metersim.engine import run
 from metersim.metrics import aggregate_load, peak_reduction, window_mean
 
@@ -30,10 +30,18 @@ def main() -> int:
     args = parser.parse_args()
 
     fractions = [float(f) for f in args.fractions.split(",")]
+    try:
+        scenarios = {
+            frac: load_scenario(
+                args.config, {"seed": args.seed, "initial_experienced_fraction": frac})
+            for frac in fractions
+        }
+    except ScenarioValidationError as exc:
+        for issue in exc.issues:
+            print(str(issue), file=sys.stderr)
+        return 2
     curves = {}
-    for frac in fractions:
-        scenario = load_scenario(
-            args.config, {"seed": args.seed, "initial_experienced_fraction": frac})
+    for frac, scenario in scenarios.items():
         curves[frac] = aggregate_load(run(scenario))
         print(f"ran fraction {frac:.2f}", file=sys.stderr)
     config = scenario.config

@@ -1,13 +1,12 @@
 """Per agent behaviour: presence, appliance switching, peer interaction.
 
-All randomness comes in through an rng object exposing random() -> float in
-[0, 1).  Each operation consumes a fixed number of draws per call so agent
-streams stay aligned between scenario variants run at the same seed:
+All randomness comes in as uniforms in [0, 1) at fixed positions, so agent
+streams stay aligned between scenario variants run at the same seed.  A
+tick's row holds slots+2 draws for one agent:
 
-    sample_daily_times   2 draws
-    appliance_tick       one draw per owned appliance instance
-    maybe_interact       2 draws (coin and partner pick, pick drawn even
-                         when the coin fails)
+    sample_daily_times   its two arguments (the day's first two draws)
+    appliance_tick       row[0:slots], one per owned appliance instance
+    maybe_interact       row[slots] (coin) and row[slots+1] (partner pick)
 
 Experienced households shift deferrable load: inside the configured peak
 window their deferrable switch-on propensities are multiplied by the
@@ -116,19 +115,17 @@ class ArchetypeRuntime:
         )
 
 
-def sample_daily_times(arch: ArchetypeSpec, rng) -> tuple[int, int]:
-    """Draw today's leave and return minute, uniform over each window.
+def sample_daily_times(arch: ArchetypeSpec, u_leave: float, u_return: float) -> tuple[int, int]:
+    """Today's leave and return minute, uniform over each window.
 
     Windows are inclusive on both ends; a degenerate window always yields
-    its single value.  Consumes exactly two draws.
+    its single value.
     """
     leave_lo = arch.leave_window[0].minutes
     leave_span = arch.leave_window[1].minutes - leave_lo + 1
     return_lo = arch.return_window[0].minutes
     return_span = arch.return_window[1].minutes - return_lo + 1
-    leave = leave_lo + int(rng.random() * leave_span)
-    ret = return_lo + int(rng.random() * return_span)
-    return leave, ret
+    return leave_lo + int(u_leave * leave_span), return_lo + int(u_return * return_span)
 
 
 def step_presence(
@@ -182,16 +179,18 @@ def appliance_tick(
     bucket: int,
     in_peak: bool,
     rt: ArchetypeRuntime,
-    rng,
+    row: list[float],
+    on_count: list[int],
     tick: int,
     events: list[AgentEvent] | None,
-) -> float:
+) -> None:
     """One switching round for an at-home agent.
 
     Off instances switch on with the bucket's propensity, on instances
     switch off with the per appliance base rate; experienced agents inside
-    the peak window use the suppressed tables for deferrable slots.
-    Consumes one draw per slot.  Returns the net load change in watts.
+    the peak window use the suppressed tables for deferrable slots.  Slot j
+    reads row[j] and, when it switches, moves on_count[j] (the group's
+    number of agents with the slot on) by one.
     """
     learning = agent.learning
     if in_peak and learning is not None and learning.experienced:
@@ -201,23 +200,18 @@ def appliance_tick(
         p_on_row = rt.on_normal[bucket]
         p_off_row = rt.off_normal
     on = agent.appliance_on
-    powers = rt.slot_powers
-    random = rng.random
-    delta = 0.0
     for j in range(rt.n_slots):
-        u = random()
         if on[j]:
-            if u < p_off_row[j]:
+            if row[j] < p_off_row[j]:
                 on[j] = False
-                delta -= powers[j]
+                on_count[j] -= 1
                 if events is not None:
                     events.append(AgentEvent(tick, agent.agent_id, SWITCHED_OFF, rt.slot_labels[j]))
-        elif u < p_on_row[j]:
+        elif row[j] < p_on_row[j]:
             on[j] = True
-            delta += powers[j]
+            on_count[j] += 1
             if events is not None:
                 events.append(AgentEvent(tick, agent.agent_id, SWITCHED_ON, rt.slot_labels[j]))
-    return delta
 
 
 def maybe_interact(
@@ -225,7 +219,7 @@ def maybe_interact(
     neighbor_ids: tuple[int, ...],
     learning_snapshot: list,
     rt: ArchetypeRuntime,
-    rng,
+    row: list[float],
     tick: int,
     events: list[AgentEvent] | None,
 ) -> None:
@@ -234,16 +228,15 @@ def maybe_interact(
     Caller guarantees the agent is influenced and at home.  The donor's
     learning state comes from the start-of-tick snapshot so outcomes do not
     depend on agent processing order.  A successful exchange gives the
-    recipient at most one bonus trial per day.  Consumes exactly two draws.
+    recipient at most one bonus trial per day.  The coin is row[slots] and
+    the partner pick row[slots+1].
     """
-    u_coin = rng.random()
-    u_pick = rng.random()
-    if u_coin >= rt.p_interact:
+    if row[rt.n_slots] >= rt.p_interact:
         return
     donors = [j for j in neighbor_ids if learning_snapshot[j] is not None]
     if not donors:
         return
-    peer = donors[int(u_pick * len(donors))]
+    peer = donors[int(row[rt.n_slots + 1] * len(donors))]
     if events is not None:
         events.append(AgentEvent(tick, agent.agent_id, INTERACTED, str(peer)))
     if agent.bonus_trial_today:

@@ -2,25 +2,39 @@
 
 Randomness discipline: one master seed feeds named PCG64 substreams via
 SeedSequence spawn keys, one for population assembly, one for the contact
-network, and one per agent for behaviour.  Each agent burns a fixed size
-block of uniforms per simulated day (2 for the daily leave/return draw plus
-slots+2 per tick), so runs at the same seed stay draw-aligned between
-scenario variants and nothing an agent does can shift another agent's
-stream.  Ticks process agents in ascending id order; peer interactions read
-donor learning states from a start-of-tick snapshot, so outcomes do not
-depend on that order.
+network, and one per agent for behaviour.  Each agent draws one fixed size
+block of uniforms from its stream per simulated day, kept as that agent's
+row of its archetype group's float64 matrix (agents of one mix entry have
+contiguous ids and share a matrix).  The row's layout does not depend on
+what the agent does:
+
+    column 0, 1                    leave and return time
+    2 + t*(slots+2) + j            switching draw of slot j at tick t
+    2 + t*(slots+2) + slots        interaction coin at tick t
+    2 + t*(slots+2) + slots + 1    interaction partner pick at tick t
+
+Draws an agent does not need (away, uninfluenced, coin failed) are left
+unread, so runs at the same seed stay draw-aligned between scenario
+variants and nothing an agent does can shift another agent's stream.
+Ticks process agents in ascending id order; peer interactions read donor
+learning states from a start-of-tick snapshot, so outcomes do not depend
+on that order.
 
 A tick advances the clock by tick_minutes.  On the first tick of each day
-the engine does the day bookkeeping per agent (fresh draw block, resample
+the engine does the day bookkeeping per agent (fresh matrix row, resample
 leave/return times, apply the intervention once due, book the daily
 reinforced trial for influenced agents that are at home); every tick then
 runs presence, appliance switching for at-home agents and possible peer
 interaction, and finally appends the population load sample in watts.
+The sample is the exactly rounded sum of power times the number of agents
+with the slot on, over every group's slots, so it is never negative and
+does not depend on the order in which agents switched.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,23 +79,32 @@ def apportion(total: int, weights: tuple[tuple[str, float], ...]) -> list[int]:
     return counts
 
 
-class _BlockRng:
-    """Cursor over an agent's per day uniform block.
+@dataclass(slots=True)
+class _Group:
+    """The agents of one archetype mix entry, which have contiguous ids.
 
-    Exposes random() like a Generator; skipping unused slots keeps the
-    per tick layout fixed whether or not the agent acted.
+    draws holds today's uniforms, row k for the group's k-th agent, refilled
+    from that agent's generator gens[k] each day.  on_count counts the group's agents
+    that have each appliance slot on.
     """
 
-    __slots__ = ("buf", "i")
+    rt: ArchetypeRuntime
+    agents: list[AgentState]
+    gens: list[np.random.Generator]
+    draws: np.ndarray
+    on_count: list[int]
 
-    def __init__(self) -> None:
-        self.buf: list[float] = []
-        self.i = 0
-
-    def random(self) -> float:
-        i = self.i
-        self.i = i + 1
-        return self.buf[i]
+    def start_day(self) -> None:
+        """Fill every row with the agent's next block and draw today's
+        leave and return times from columns 0 and 1."""
+        draws = self.draws
+        for gen, row in zip(self.gens, draws):
+            gen.random(out=row)
+        spec = self.rt.spec
+        for agent, u_leave, u_return in zip(
+            self.agents, draws[:, 0].tolist(), draws[:, 1].tolist(),
+        ):
+            agent.today_leave, agent.today_return = sample_daily_times(spec, u_leave, u_return)
 
 
 @dataclass(frozen=True)
@@ -120,46 +143,47 @@ class Simulation:
         counts = apportion(cfg.population, cfg.archetype_mix)
 
         self.agents: list[AgentState] = []
-        self._rt: list[ArchetypeRuntime] = []
-        self._gens: list[np.random.Generator] = []
-        self._rngs: list[_BlockRng] = []
-        self._block_len: list[int] = []
+        self._groups: list[_Group] = []
         for rt, count in zip(runtimes, counts):
-            block_len = 2 + self.ticks_per_day * (rt.n_slots + 2)
-            for _ in range(count):
-                agent_id = len(self.agents)
-                gen = substream(cfg.seed, STREAM_AGENT, agent_id)
-                rng = _BlockRng()
-                rng.buf = gen.random(block_len).tolist()
-                leave, ret = sample_daily_times(rt.spec, rng)
-                self.agents.append(AgentState(
-                    agent_id=agent_id,
+            first = len(self.agents)
+            agents = [
+                AgentState(
+                    agent_id=first + k,
                     archetype_id=rt.spec.id,
                     at_home=True,
                     learning=None,
                     appliance_on=[False] * rt.n_slots,
-                    today_leave=leave,
-                    today_return=ret,
-                ))
-                self._rt.append(rt)
-                self._gens.append(gen)
-                self._rngs.append(rng)
-                self._block_len.append(block_len)
+                    today_leave=0,
+                    today_return=0,
+                )
+                for k in range(count)
+            ]
+            group = _Group(
+                rt=rt,
+                agents=agents,
+                gens=[substream(cfg.seed, STREAM_AGENT, first + k) for k in range(count)],
+                draws=np.empty((count, 2 + self.ticks_per_day * (rt.n_slots + 2))),
+                on_count=[0] * rt.n_slots,
+            )
+            group.start_day()
+            self.agents.extend(agents)
+            self._groups.append(group)
+        learn_params = {group.rt.spec.id: group.rt.learn_params for group in self._groups}
 
         pop_rng = substream(cfg.seed, STREAM_POPULATION)
         perm = pop_rng.permutation(cfg.population)
         n_seeded = int(math.floor(cfg.initial_experienced_fraction * cfg.population + 0.5))
         for idx in perm[:n_seeded].tolist():
-            t_min = trials_to_threshold(self._rt[idx].learn_params)
+            agent = self.agents[idx]
+            t_min = trials_to_threshold(learn_params[agent.archetype_id])
             # validation rejects scenarios where this is unreachable
-            self.agents[idx].learning = LearningState(trials_t=t_min, experienced=True)
+            agent.learning = LearningState(trials_t=t_min, experienced=True)
 
         net_rng = substream(cfg.seed, STREAM_NETWORK)
         self.network = generate_small_world(
             cfg.population, cfg.network_mean_degree_K, cfg.network_rewire_beta, net_rng,
         )
 
-        self._load_watts = 0.0
         self.load_series: list[float] = []
         self.adoption_series: list[tuple[int, int, int]] = []
         self._tick_index = 0
@@ -168,20 +192,16 @@ class Simulation:
         cfg = self.cfg
         events = self.events
         intervention_due = day >= cfg.intervention_start_day
-        for idx, agent in enumerate(self.agents):
-            rt = self._rt[idx]
-            rng = self._rngs[idx]
+        for group in self._groups:
             if day > 0:
-                rng.buf = self._gens[idx].random(self._block_len[idx]).tolist()
-                rng.i = 0
-                leave, ret = sample_daily_times(rt.spec, rng)
-                agent.today_leave = leave
-                agent.today_return = ret
-            agent.bonus_trial_today = False
-            if intervention_due and agent.learning is None:
-                apply_intervention(agent, tick_index, events)
-            if agent.learning is not None and agent.at_home:
-                record_daily_trial(agent, rt.learn_params, tick_index, events)
+                group.start_day()
+            learn_params = group.rt.learn_params
+            for agent in group.agents:
+                agent.bonus_trial_today = False
+                if intervention_due and agent.learning is None:
+                    apply_intervention(agent, tick_index, events)
+                if agent.learning is not None and agent.at_home:
+                    record_daily_trial(agent, learn_params, tick_index, events)
 
     def tick(self) -> None:
         """Advance the world by one tick."""
@@ -199,21 +219,22 @@ class Simulation:
         agents = self.agents
         adjacency = self.network.adjacency
         learning_prev = [a.learning for a in agents]
-        load = self._load_watts
-        for idx, agent in enumerate(agents):
-            rt = self._rt[idx]
-            rng = self._rngs[idx]
-            step_presence(agent, now, tick_index, events)
-            if agent.at_home:
-                load += appliance_tick(agent, bucket, in_peak, rt, rng, tick_index, events)
-                if agent.learning is not None:
-                    maybe_interact(agent, adjacency[idx], learning_prev, rt, rng, tick_index, events)
-                else:
-                    rng.i += 2
-            else:
-                rng.i += rt.n_slots + 2
-        self._load_watts = load
-        self.load_series.append(load)
+        load_terms = []
+        for group in self._groups:
+            rt = group.rt
+            stride = rt.n_slots + 2
+            off = 2 + tick_in_day * stride
+            rows = group.draws[:, off:off + stride].tolist()
+            on_count = group.on_count
+            for agent, row in zip(group.agents, rows):
+                step_presence(agent, now, tick_index, events)
+                if agent.at_home:
+                    appliance_tick(agent, bucket, in_peak, rt, row, on_count, tick_index, events)
+                    if agent.learning is not None:
+                        maybe_interact(agent, adjacency[agent.agent_id], learning_prev, rt, row,
+                                       tick_index, events)
+            load_terms.extend(map(operator.mul, rt.slot_powers, on_count))
+        self.load_series.append(math.fsum(load_terms))
 
         if tick_in_day == self.ticks_per_day - 1:
             uninfluenced = 0

@@ -132,7 +132,7 @@ def mean_path_length_sampled(
         by_source.setdefault(s, []).append(t)
 
     for s, ts in by_source.items():
-        dist = _bfs_distances(net, s)
+        dist = _bfs_distances(net, s, set(ts))
         for t in ts:
             if dist[t] >= 0:
                 total += dist[t]
@@ -140,16 +140,26 @@ def mean_path_length_sampled(
     return total / counted if counted else float("nan")
 
 
-def _bfs_distances(net: Network, source: int) -> list[int]:
+def _bfs_distances(net: Network, source: int, targets: set[int] | None = None) -> list[int]:
+    """Hop counts from source, -1 where unreached.
+
+    With targets the search stops as soon as every target has its
+    distance; other nodes may then be left at -1.
+    """
     dist = [-1] * net.node_count
     dist[source] = 0
+    pending = None if targets is None else len(targets)
     queue = deque([source])
     adjacency = net.adjacency
     while queue:
         u = queue.popleft()
-        du = dist[u]
+        du = dist[u] + 1
         for v in adjacency[u]:
             if dist[v] < 0:
-                dist[v] = du + 1
+                dist[v] = du
                 queue.append(v)
+                if pending is not None and v in targets:
+                    pending -= 1
+                    if pending == 0:
+                        return dist
     return dist

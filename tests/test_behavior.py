@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,12 +25,29 @@ from metersim.engine import STREAM_AGENT, Simulation, run, substream
 from conftest import tiny_doc
 
 
-class FakeRng:
-    def __init__(self, values):
-        self.values = list(values)
+class ReadLog(list):
+    """A draw row that remembers which positions were read."""
 
-    def random(self):
-        return self.values.pop(0)
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+
+def chat_row(rt, coin, pick):
+    """A tick's row with switching draws that never switch anything."""
+    return [0.999] * rt.n_slots + [coin, pick]
+
+
+def watts(rt, on_count):
+    return math.fsum(p * c for p, c in zip(rt.slot_powers, on_count))
 
 
 def build_runtime(**kwargs):
@@ -66,11 +85,11 @@ def test_sample_daily_times_within_windows():
     rt, _ = build_runtime()
     arch = rt.spec
     for u1, u2 in [(0.0, 0.0), (0.999, 0.999), (0.5, 0.25)]:
-        leave, ret = sample_daily_times(arch, FakeRng([u1, u2]))
+        leave, ret = sample_daily_times(arch, u1, u2)
         assert 600 <= leave <= 660
         assert 840 <= ret <= 900
-    assert sample_daily_times(arch, FakeRng([0.0, 0.0])) == (600, 840)
-    assert sample_daily_times(arch, FakeRng([0.999999, 0.999999])) == (660, 900)
+    assert sample_daily_times(arch, 0.0, 0.0) == (600, 840)
+    assert sample_daily_times(arch, 0.999999, 0.999999) == (660, 900)
 
 
 def test_sample_daily_times_degenerate_window():
@@ -80,7 +99,7 @@ def test_sample_daily_times_degenerate_window():
     scenario = validate_scenario(doc)
     arch = scenario.archetypes[0]
     for u in (0.0, 0.5, 0.999):
-        assert sample_daily_times(arch, FakeRng([u, u])) == (555, 1065)
+        assert sample_daily_times(arch, u, u) == (555, 1065)
 
 
 def test_step_presence_morning_noop():
@@ -126,19 +145,21 @@ def test_appliance_tick_switches_on_by_profile():
     rt, _ = build_runtime(tick=30)
     agent = make_agent()
     events = []
-    delta = appliance_tick(agent, bucket=10, in_peak=False, rt=rt,
-                           rng=FakeRng([0.49, 0.29]), tick=3, events=events)
+    on_count = [0, 0]
+    appliance_tick(agent, bucket=10, in_peak=False, rt=rt,
+                   row=[0.49, 0.29], on_count=on_count, tick=3, events=events)
     assert agent.appliance_on == [True, True]
-    assert delta == 300.0
+    assert on_count == [1, 1] and watts(rt, on_count) == 300.0
     assert [(e.kind, e.detail) for e in events] == [
         (SWITCHED_ON, "heater#0"), (SWITCHED_ON, "shifter#0"),
     ]
 
     # draws at or above the propensities do nothing
     agent2 = make_agent()
-    delta2 = appliance_tick(agent2, bucket=10, in_peak=False, rt=rt,
-                            rng=FakeRng([0.5, 0.3]), tick=3, events=None)
-    assert agent2.appliance_on == [False, False] and delta2 == 0.0
+    on_count2 = [0, 0]
+    appliance_tick(agent2, bucket=10, in_peak=False, rt=rt,
+                   row=[0.5, 0.3], on_count=on_count2, tick=3, events=None)
+    assert agent2.appliance_on == [False, False] and on_count2 == [0, 0]
 
 
 def test_appliance_tick_peak_suppression_for_experienced():
@@ -146,21 +167,22 @@ def test_appliance_tick_peak_suppression_for_experienced():
     experienced = LearningState(30, True)
     agent = make_agent(learning=experienced)
     # shifter propensity drops 0.3 -> 0.15 inside the peak, heater untouched
-    delta = appliance_tick(agent, bucket=35, in_peak=True, rt=rt,
-                           rng=FakeRng([0.49, 0.29]), tick=0, events=None)
+    on_count = [0, 0]
+    appliance_tick(agent, bucket=35, in_peak=True, rt=rt,
+                   row=[0.49, 0.29], on_count=on_count, tick=0, events=None)
     assert agent.appliance_on == [True, False]
-    assert delta == 100.0
+    assert watts(rt, on_count) == 100.0
 
     # inexperienced agents see no suppression
     naive = make_agent(learning=LearningState(1, False))
     appliance_tick(naive, bucket=35, in_peak=True, rt=rt,
-                   rng=FakeRng([0.49, 0.29]), tick=0, events=None)
+                   row=[0.49, 0.29], on_count=[0, 0], tick=0, events=None)
     assert naive.appliance_on == [True, True]
 
     # outside the window the experienced agent behaves normally
     agent3 = make_agent(learning=experienced)
     appliance_tick(agent3, bucket=10, in_peak=False, rt=rt,
-                   rng=FakeRng([0.49, 0.29]), tick=0, events=None)
+                   row=[0.49, 0.29], on_count=[0, 0], tick=0, events=None)
     assert agent3.appliance_on == [True, True]
 
 
@@ -168,11 +190,12 @@ def test_appliance_tick_doubles_deferrable_switch_off_in_peak():
     rt, _ = build_runtime(tick=30)
     agent = make_agent(learning=LearningState(30, True), on=[True, True])
     events = []
-    delta = appliance_tick(agent, bucket=35, in_peak=True, rt=rt,
-                           rng=FakeRng([0.6, 0.9]), tick=0, events=events)
+    on_count = [1, 1]
+    appliance_tick(agent, bucket=35, in_peak=True, rt=rt,
+                   row=[0.6, 0.9], on_count=on_count, tick=0, events=events)
     # heater keeps its 0.5 off rate (0.6 misses), shifter is pushed to 1.0
     assert agent.appliance_on == [True, False]
-    assert delta == -200.0
+    assert on_count == [1, 0] and watts(rt, on_count) == 300.0 - 200.0
     assert [(e.kind, e.detail) for e in events] == [(SWITCHED_OFF, "shifter#0")]
 
 
@@ -182,33 +205,49 @@ def test_maybe_interact_exchange_and_daily_cap():
     snapshot = [None, LearningState(5, False), LearningState(9, False)]
     agent = make_agent(learning=LearningState(2, False))
     events = []
-    maybe_interact(agent, (1, 2), snapshot, rt, FakeRng([0.49, 0.9]), 7, events)
+    maybe_interact(agent, (1, 2), snapshot, rt, chat_row(rt, 0.49, 0.9), 7, events)
     assert [(e.kind, e.detail) for e in events] == [(INTERACTED, "2")]
     assert agent.learning.trials_t == 3
     assert agent.bonus_trial_today
 
     # a second exchange the same day still emits but cannot add a trial
-    maybe_interact(agent, (1, 2), snapshot, rt, FakeRng([0.49, 0.0]), 8, events)
+    maybe_interact(agent, (1, 2), snapshot, rt, chat_row(rt, 0.49, 0.0), 8, events)
     assert [e.kind for e in events] == [INTERACTED, INTERACTED]
     assert agent.learning.trials_t == 3
 
 
-def test_maybe_interact_coin_failure_consumes_both_draws():
-    rt, _ = build_runtime(rate=0.5)
-    agent = make_agent(learning=LearningState(2, False))
-    fake = FakeRng([0.51, 0.2])
-    maybe_interact(agent, (1,), [None, LearningState(9, False)], rt, fake, 0, [])
-    assert fake.values == []
-    assert agent.learning.trials_t == 2
+def test_each_operation_reads_only_its_row_positions():
+    """The row layout is fixed: switching reads positions 0..slots-1 and a
+    chat reads slots (coin) and slots+1 (pick), whatever happens."""
+    rt, _ = build_runtime(rate=0.5, tick=30)
+    slots = set(range(rt.n_slots))
+    chat = {rt.n_slots, rt.n_slots + 1}
+    for on in ([False, False], [True, True], [True, False]):
+        for u in (0.0, 0.4, 0.999):
+            agent = make_agent(learning=LearningState(30, True), on=on)
+            row = ReadLog([u, u, 0.0, 0.0])
+            appliance_tick(agent, 35, True, rt, row, [int(x) for x in on], 0, [])
+            assert row.read == slots
+
+    donor = LearningState(9, False)
+    for coin, snapshot in [
+        (0.51, [None, donor]),   # coin fails
+        (0.49, [None, None]),    # nobody to chat with
+        (0.49, [None, donor]),   # chat with a bonus trial
+    ]:
+        agent = make_agent(learning=LearningState(2, False))
+        row = ReadLog([0.0, 0.0, coin, 0.2])
+        maybe_interact(agent, (1,), snapshot, rt, row, 0, [])
+        assert row.read <= chat
+        assert agent.learning.trials_t == (3 if coin < 0.5 and snapshot[1] else 2)
 
 
 def test_maybe_interact_no_influenced_neighbor():
     rt, _ = build_runtime(rate=1.0)
     agent = make_agent(learning=LearningState(2, False))
     events = []
-    fake = FakeRng([0.1, 0.7])
-    maybe_interact(agent, (1, 2), [None, None, None], rt, fake, 0, events)
-    assert events == [] and fake.values == []
+    maybe_interact(agent, (1, 2), [None, None, None], rt, chat_row(rt, 0.1, 0.7), 0, events)
+    assert events == []
 
 
 def test_maybe_interact_donor_behind_gives_nothing():
@@ -216,7 +255,7 @@ def test_maybe_interact_donor_behind_gives_nothing():
     agent = make_agent(learning=LearningState(9, False))
     events = []
     maybe_interact(agent, (1,), [None, LearningState(2, False)], rt,
-                   FakeRng([0.1, 0.1]), 0, events)
+                   chat_row(rt, 0.1, 0.1), 0, events)
     assert [e.kind for e in events] == [INTERACTED]
     assert agent.learning.trials_t == 9
     assert not agent.bonus_trial_today
@@ -233,8 +272,9 @@ def test_interaction_rate_matches_awareness_times_base_rate():
     agent.bonus_trial_today = True  # freeze state so only the coin matters
     events = []
     n = 200_000
-    for t in range(n):
-        maybe_interact(agent, (1,), snapshot, rt, gen, t, events)
+    rows = gen.random((n, rt.n_slots + 2)).tolist()
+    for t, row in enumerate(rows):
+        maybe_interact(agent, (1,), snapshot, rt, row, t, events)
     assert len(events) / n == pytest.approx(0.01, abs=1e-3)
 
 
@@ -243,7 +283,7 @@ def test_interaction_can_tip_agent_over_threshold():
     agent = make_agent(learning=LearningState(3, False))
     events = []
     maybe_interact(agent, (1,), [None, LearningState(10, True)], rt,
-                   FakeRng([0.0, 0.0]), 0, events)
+                   chat_row(rt, 0.0, 0.0), 0, events)
     assert [e.kind for e in events] == [INTERACTED, BECAME_EXPERIENCED]
     assert agent.learning == LearningState(4, True)
 

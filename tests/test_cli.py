@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from metersim import cli
 from metersim.cli import main
 from metersim.metrics import LoadCurve, read_load_curve, write_load_curve
 
@@ -135,9 +137,9 @@ def test_run_overrides_obey_cross_field_rules(tiny_config, tmp_path, capsys):
     assert "BadValue" in capsys.readouterr().err
 
 
-def test_run_reports_a_bad_curve_instead_of_a_traceback(tmp_path, capsys):
-    # fractional wattages let the running load sum drift to -1.9e-14 W at
-    # seed 4, which the load curve refuses
+def test_run_fractional_wattages_give_a_non_negative_curve(tmp_path):
+    # a running sum of switch deltas drifted to -1.9e-14 W on this scenario
+    # at seed 4; the exact per tick sum cannot go below zero
     doc = tiny_doc(population=50, horizon=2, tick=10, seed=4)
     for appliance, watts in zip(doc["appliances"], (0.1, 0.7)):
         appliance["power_watts"] = watts
@@ -145,8 +147,22 @@ def test_run_reports_a_bad_curve_instead_of_a_traceback(tmp_path, capsys):
         appliance["usage_profile"] = [0.5] * 24 + [0.0] * 24
     path = tmp_path / "drift.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "BadCurve" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    curve = read_load_curve(str(out / "loadcurve.csv"))
+    assert len(curve.values) == 48
+    assert all(v >= 0.0 for v in curve.values)
+
+
+def test_run_reports_a_bad_curve_instead_of_a_traceback(tiny_config, tmp_path, capsys, monkeypatch):
+    def refuse(output, bucket_minutes):
+        raise ValueError("curve values must be finite and non-negative")
+
+    monkeypatch.setattr(cli, "aggregate_load", refuse)
+    out = tmp_path / "o"
+    assert main(["run", "--config", tiny_config(), "--out", str(out)]) == 2
+    assert "BadCurve: curve values must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_rejects_tick_that_does_not_fit_output_buckets(tiny_config, tmp_path, capsys):
@@ -270,3 +286,25 @@ def test_module_entry_point(tiny_config):
     )
     assert result.returncode == 0
     assert result.stdout == "ok\n"
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("experienced_fraction_sweep.py", ["--fractions", "0.0,1.5"],
+     "BadValue: scenario: initial_experienced_fraction must be a finite number in [0, 1], got 1.5"),
+    ("daily_load_curve.py", ["--seed", "-1"],
+     "BadValue: scenario: seed must be an integer"),
+])
+def test_scripts_exit_2_on_a_bad_scenario(tiny_config, tmp_path, script, args, message):
+    out = tmp_path / "o"
+    result = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, script),
+         "--config", tiny_config(), "--out", str(out), *args],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(message)
+    assert "Traceback" not in result.stderr
+    assert not out.exists()

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metersim.behavior import (
     BECAME_EXPERIENCED,
@@ -11,7 +15,7 @@ from metersim.behavior import (
     SWITCHED_OFF,
     SWITCHED_ON,
 )
-from metersim.domain import TimeOfDay, validate_scenario
+from metersim.domain import TimeOfDay, load_scenario, validate_scenario
 from metersim.engine import (
     STREAM_AGENT,
     Simulation,
@@ -163,21 +167,16 @@ def test_cold_profile_gives_zero_series():
     assert output.load_series.tolist() == [0.0] * 48
 
 
-def test_load_series_matches_event_replay():
-    """The running load total must agree with a from-scratch replay of
-    the switch events at every tick."""
-    scenario = validate_scenario(tiny_doc(
-        population=10, degree=4, beta=0.3, horizon=3, tick=15,
-        rate=0.3, k=0.8, seed=5, intervention=1,
-    ))
-    output = run(scenario, record_events=True)
+def replayed_load(scenario, events):
+    """Per tick fsum of the powers that are on after replaying that
+    tick's switch events from scratch."""
     watts = {a.id: a.power_watts for a in scenario.appliances}
-    on: list[dict] = [dict() for _ in range(10)]
+    on: list[dict] = [dict() for _ in range(scenario.config.population)]
     by_tick = defaultdict(list)
-    for e in output.events:
+    for e in events:
         by_tick[e.tick].append(e)
     total_ticks = scenario.config.horizon_days * scenario.config.ticks_per_day
-    assert len(output.load_series) == total_ticks
+    loads = []
     for t in range(total_ticks):
         for e in by_tick.get(t, ()):
             if e.kind == SWITCHED_ON:
@@ -185,8 +184,48 @@ def test_load_series_matches_event_replay():
                 on[e.agent_id][e.detail] = watts[e.detail.split("#")[0]]
             elif e.kind == SWITCHED_OFF:
                 del on[e.agent_id][e.detail]
-        expected = sum(sum(d.values()) for d in on)
-        assert output.load_series[t] == pytest.approx(expected, abs=1e-6)
+        loads.append(math.fsum(w for d in on for w in d.values()))
+    return loads
+
+
+def test_load_series_matches_event_replay():
+    """The load sample must agree with a from-scratch replay of the switch
+    events at every tick."""
+    scenario = validate_scenario(tiny_doc(
+        population=10, degree=4, beta=0.3, horizon=3, tick=15,
+        rate=0.3, k=0.8, seed=5, intervention=1,
+    ))
+    output = run(scenario, record_events=True)
+    expected = replayed_load(scenario, output.events)
+    assert len(output.load_series) == len(expected)
+    for sample, exact in zip(output.load_series.tolist(), expected):
+        assert sample == pytest.approx(exact, abs=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    powers=st.tuples(st.floats(0.01, 3000.0), st.floats(0.01, 3000.0)),
+    on_minutes=st.sampled_from([10, 30, 120]),
+    tick=st.sampled_from([10, 15, 30]),
+    exp_frac=st.sampled_from([0.0, 0.5]),
+)
+def test_load_samples_are_the_exact_sum_of_on_powers(seed, powers, on_minutes, tick, exp_frac):
+    """With fractional wattages every sample is >= 0 and equals the exactly
+    rounded sum of the powers that are on."""
+    doc = tiny_doc(population=12, degree=4, beta=0.2, horizon=2, tick=tick,
+                   rate=0.3, seed=seed, exp_frac=exp_frac)
+    for appliance, watts in zip(doc["appliances"], powers):
+        appliance["power_watts"] = watts
+        appliance["mean_on_minutes"] = on_minutes
+        appliance["usage_profile"] = [0.5] * 24 + [0.05] * 24
+    scenario = validate_scenario(doc)
+    output = run(scenario, record_events=True)
+    expected = replayed_load(scenario, output.events)
+    assert len(output.load_series) == len(expected)
+    for sample, exact in zip(output.load_series.tolist(), expected):
+        assert sample >= 0.0
+        assert abs(sample - exact) <= 1e-9
 
 
 def test_same_seed_reproduces_everything():
@@ -309,6 +348,47 @@ def test_scenario_variants_stay_draw_aligned():
     net_a = Simulation(validate_scenario(base_doc)).network
     net_b = Simulation(validate_scenario(seeded_doc)).network
     assert net_a.adjacency == net_b.adjacency
+
+
+def test_day_blocks_follow_the_agent_stream():
+    """Agent i's day-d leave and return times come from values d*block_len
+    and d*block_len + 1 of its own substream, block_len being 2 plus
+    slots+2 per tick for the agent's archetype."""
+    doc = tiny_doc(population=5, mix={"resident": 0.6, "loner": 0.4}, horizon=3, seed=19)
+    doc["archetypes"].append(dict(
+        doc["archetypes"][0], id="loner", leave_window=["07:00", "08:30"],
+        return_window=["16:00", "19:00"], appliances={"heater": 3}))
+    scenario = validate_scenario(doc)
+    ticks_per_day = scenario.config.ticks_per_day
+    # resident: two slots, window starts 600/840; loner: three slots, 420/960
+    layout = {"resident": (2, 600, 61, 840, 61), "loner": (3, 420, 91, 960, 181)}
+    sim = Simulation(scenario)
+    for t in range(3 * ticks_per_day):
+        sim.tick()
+        if t % ticks_per_day:
+            continue
+        day = t // ticks_per_day
+        for agent in sim.agents:
+            slots, leave_lo, leave_span, return_lo, return_span = layout[agent.archetype_id]
+            block_len = 2 + ticks_per_day * (slots + 2)
+            u = substream(19, STREAM_AGENT, agent.agent_id).random(3 * block_len)
+            assert agent.today_leave == leave_lo + int(u[day * block_len] * leave_span)
+            assert agent.today_return == return_lo + int(u[day * block_len + 1] * return_span)
+    assert [a.archetype_id for a in sim.agents] == ["resident"] * 3 + ["loner"] * 2
+
+
+def test_simulation_set_up_memory_at_2000_agents(sample_path):
+    """One float64 draw row per agent keeps the set-up of 2000 sample
+    households under 40 MB (a list of boxed floats per agent took 84 MB)."""
+    scenario = load_scenario(sample_path, {"population": 2000})
+    tracemalloc.start()
+    try:
+        sim = Simulation(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sim.agents) == 2000
+    assert peak < 40 * 2**20
 
 
 def test_substreams_are_stable_and_distinct():

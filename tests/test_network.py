@@ -1,3 +1,6 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +110,44 @@ def test_mean_path_length_sampled_branch():
     net = generate_small_world(30, 2, 0.0, rng())
     value = mean_path_length_sampled(net, rng(1), max_pairs=100)
     assert value == pytest.approx(225 / 29, abs=1.5)
+
+
+def full_bfs_mean(net, gen, max_pairs):
+    """mean_path_length_sampled's estimate with a complete BFS per source."""
+    n = net.node_count
+    sources = gen.integers(0, n, size=max_pairs)
+    targets = gen.integers(0, n - 1, size=max_pairs)
+    targets = np.where(targets >= sources, targets + 1, targets)
+    by_source = {}
+    for s, t in zip(sources.tolist(), targets.tolist()):
+        by_source.setdefault(s, []).append(t)
+    total, counted = 0.0, 0
+    for s, ts in by_source.items():
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in net.adjacency[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for t in ts:
+            if t in dist:
+                total += dist[t]
+                counted += 1
+    return total / counted if counted else float("nan")
+
+
+@pytest.mark.parametrize("n, k", [(300, 2), (400, 4), (250, 6)])
+@pytest.mark.parametrize("beta", [0.0, 0.05, 0.3, 1.0])
+def test_sampled_path_length_equals_full_search(n, k, beta):
+    """Stopping each search once its targets are reached leaves the
+    estimate bit-identical, unreachable pairs included."""
+    for seed in (1, 2, 3):
+        net = generate_small_world(n, k, beta, rng(seed))
+        got = mean_path_length_sampled(net, rng(100 + seed), max_pairs=200)
+        want = full_bfs_mean(net, rng(100 + seed), max_pairs=200)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @settings(max_examples=30, deadline=None)
