@@ -2,11 +2,18 @@
 
 All randomness comes in as uniforms in [0, 1) at fixed positions, so agent
 streams stay aligned between scenario variants run at the same seed.  A
-tick's row holds slots+2 draws for one agent:
+tick's draws hold slots+2 columns per agent:
 
     sample_daily_times   its two arguments (the day's first two draws)
-    appliance_tick       row[0:slots], one per owned appliance instance
-    maybe_interact       row[slots] (coin) and row[slots+1] (partner pick)
+    switch_mask          columns 0..slots-1, one per owned appliance instance
+    chat_coins           column slots (the chat coin)
+    maybe_interact       row[slots+1] (the partner pick)
+
+Each rule is decided once, for a whole archetype group, by a numpy mask:
+presence_mask says who is home, switch_mask which slots switch and
+chat_coins whose coin lands.  The per-agent functions step_presence,
+appliance_tick and maybe_interact then apply those decisions to one agent
+and record its events; the engine calls them only for agents that act.
 
 Experienced households shift deferrable load: inside the configured peak
 window their deferrable switch-on propensities are multiplied by the
@@ -17,6 +24,8 @@ doubled.  Non deferrable appliances are never touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .domain import AgentState, ApplianceSpec, ArchetypeSpec, LearningState, ScenarioConfig
 from .learning import LearningParams, absorb_interaction, record_trial
@@ -45,9 +54,11 @@ class AgentEvent:
 class ArchetypeRuntime:
     """Probability tables for one archetype, folded out of the specs once.
 
-    on_normal/on_suppressed have one row per half hour bucket with one
-    switch-on probability per appliance slot; the suppressed variants apply
-    only while an experienced agent is inside the peak window.
+    on_normal/on_suppressed are float64 arrays with one row per half hour
+    bucket and one switch-on probability per appliance slot; off_normal and
+    off_suppressed hold one switch-off probability per slot.  The
+    suppressed variants apply only while an experienced agent is inside the
+    peak window.
     """
 
     spec: ArchetypeSpec
@@ -56,10 +67,10 @@ class ArchetypeRuntime:
     n_slots: int
     slot_labels: tuple[str, ...]
     slot_powers: tuple[float, ...]
-    on_normal: tuple[tuple[float, ...], ...]
-    on_suppressed: tuple[tuple[float, ...], ...]
-    off_normal: tuple[float, ...]
-    off_suppressed: tuple[float, ...]
+    on_normal: np.ndarray
+    on_suppressed: np.ndarray
+    off_normal: np.ndarray
+    off_suppressed: np.ndarray
 
     @classmethod
     def build(
@@ -108,45 +119,115 @@ class ArchetypeRuntime:
             n_slots=len(slots),
             slot_labels=tuple(labels),
             slot_powers=tuple(spec.power_watts for spec in slots),
-            on_normal=tuple(on_normal),
-            on_suppressed=tuple(on_suppressed),
-            off_normal=tuple(off_normal),
-            off_suppressed=tuple(off_suppressed),
+            on_normal=np.array(on_normal, dtype=np.float64),
+            on_suppressed=np.array(on_suppressed, dtype=np.float64),
+            off_normal=np.array(off_normal, dtype=np.float64),
+            off_suppressed=np.array(off_suppressed, dtype=np.float64),
         )
 
 
-def sample_daily_times(arch: ArchetypeSpec, u_leave: float, u_return: float) -> tuple[int, int]:
-    """Today's leave and return minute, uniform over each window.
+def sample_daily_times(
+    arch: ArchetypeSpec, u_leave: np.ndarray, u_return: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Today's leave and return minutes, one per draw, uniform over each window.
 
     Windows are inclusive on both ends; a degenerate window always yields
-    its single value.
+    its single value.  The cast truncates like int(u * span) does.
     """
     leave_lo = arch.leave_window[0].minutes
     leave_span = arch.leave_window[1].minutes - leave_lo + 1
     return_lo = arch.return_window[0].minutes
     return_span = arch.return_window[1].minutes - return_lo + 1
-    return leave_lo + int(u_leave * leave_span), return_lo + int(u_return * return_span)
+    return (leave_lo + (u_leave * leave_span).astype(np.int64),
+            return_lo + (u_return * return_span).astype(np.int64))
+
+
+def presence_mask(
+    leave_at: np.ndarray, return_at: np.ndarray, now: int,
+    home: np.ndarray, flip: np.ndarray, spare: np.ndarray,
+) -> None:
+    """Move a group's home mask to clock time now; flip marks who moved.
+
+    An agent is out exactly while leave_at <= now < return_at, so a return
+    time that fell past the final tick of a day resolves at the first tick
+    of the next one.  spare is scratch space of home's shape.
+    """
+    np.greater(leave_at, now, out=spare)
+    np.less_equal(return_at, now, out=flip)
+    spare |= flip
+    np.not_equal(spare, home, out=flip)
+    home[:] = spare
+
+
+def switch_mask(
+    rt: ArchetypeRuntime,
+    bucket: int,
+    in_peak: bool,
+    u: np.ndarray,
+    on: np.ndarray,
+    home: np.ndarray,
+    experienced: np.ndarray,
+    out: np.ndarray,
+    spare: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Mark in out the appliance slots that switch this tick.
+
+    u holds the tick's draws of a group, one row per agent, and slot j
+    reads column j.  on, out and the two spare arrays are slot-major
+    (slots x agents).  An off slot switches on when its draw is below the
+    bucket's propensity, an on slot switches off when its draw is below
+    its base off rate.  Experienced agents inside the peak window use the
+    suppressed tables.  Agents that are out switch nothing.
+    """
+    u = u[:, :rt.n_slots].T
+    _switches(u, rt.on_normal[bucket], rt.off_normal, on, out, spare[0])
+    if in_peak:
+        _switches(u, rt.on_suppressed[bucket], rt.off_suppressed, on, spare[0], spare[1])
+        _select(out, spare[0], experienced)
+    out &= home
+
+
+def _switches(u, p_on, p_off, on, out, spare) -> None:
+    """out = u < (p_off where on, else p_on), per slot row."""
+    np.less(u, p_on[:, None], out=out)
+    np.less(u, p_off[:, None], out=spare)
+    _select(out, spare, on)
+
+
+def _select(out, alt, mask) -> None:
+    """out = where(mask, alt, out) for bool arrays; alt is overwritten."""
+    alt ^= out
+    alt &= mask
+    out ^= alt
+
+
+def chat_coins(
+    rt: ArchetypeRuntime, u: np.ndarray, home: np.ndarray, influenced: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Mark in out the agents whose chat coin lands this tick.
+
+    An influenced at-home agent chats with probability p_interact; its coin
+    is column slots of the tick's draws u.
+    """
+    np.less(u[:, rt.n_slots], rt.p_interact, out=out)
+    out &= home
+    out &= influenced
 
 
 def step_presence(
-    agent: AgentState, now: int, tick: int, events: list[AgentEvent] | None,
+    agent: AgentState, home: bool, tick: int, events: list[AgentEvent] | None,
 ) -> None:
-    """Advance the atHome/out machine to clock time now.
+    """Move the agent home or out, as presence_mask decided.
 
-    The agent is out exactly while today_leave <= now < today_return, so a
-    return time that fell past the final tick of a day resolves at the
-    first tick of the next one.  Influence and learning are untouched.
+    Influence and learning are untouched; an agent already where home puts
+    it records nothing.
     """
-    away = agent.today_leave <= now < agent.today_return
-    if agent.at_home:
-        if away:
-            agent.at_home = False
-            if events is not None:
-                events.append(AgentEvent(tick, agent.agent_id, LEFT_HOME))
-    elif not away:
-        agent.at_home = True
-        if events is not None:
-            events.append(AgentEvent(tick, agent.agent_id, RETURNED_HOME))
+    if agent.at_home == home:
+        return
+    agent.at_home = home
+    if events is not None:
+        events.append(AgentEvent(tick, agent.agent_id, RETURNED_HOME if home else LEFT_HOME))
 
 
 def apply_intervention(
@@ -176,42 +257,32 @@ def record_daily_trial(
 
 def appliance_tick(
     agent: AgentState,
-    bucket: int,
-    in_peak: bool,
     rt: ArchetypeRuntime,
-    row: list[float],
+    switches: list[bool],
     on_count: list[int],
     tick: int,
     events: list[AgentEvent] | None,
 ) -> None:
-    """One switching round for an at-home agent.
+    """Apply the agent's row of switch_mask.
 
-    Off instances switch on with the bucket's propensity, on instances
-    switch off with the per appliance base rate; experienced agents inside
-    the peak window use the suppressed tables for deferrable slots.  Slot j
-    reads row[j] and, when it switches, moves on_count[j] (the group's
-    number of agents with the slot on) by one.
+    Every slot j marked in switches flips: an off slot switches on, an on
+    slot switches off, and on_count[j] (the group's number of agents with
+    the slot on) moves by one.
     """
-    learning = agent.learning
-    if in_peak and learning is not None and learning.experienced:
-        p_on_row = rt.on_suppressed[bucket]
-        p_off_row = rt.off_suppressed
-    else:
-        p_on_row = rt.on_normal[bucket]
-        p_off_row = rt.off_normal
     on = agent.appliance_on
-    for j in range(rt.n_slots):
+    for j, switch in enumerate(switches):
+        if not switch:
+            continue
         if on[j]:
-            if row[j] < p_off_row[j]:
-                on[j] = False
-                on_count[j] -= 1
-                if events is not None:
-                    events.append(AgentEvent(tick, agent.agent_id, SWITCHED_OFF, rt.slot_labels[j]))
-        elif row[j] < p_on_row[j]:
+            on[j] = False
+            on_count[j] -= 1
+            kind = SWITCHED_OFF
+        else:
             on[j] = True
             on_count[j] += 1
-            if events is not None:
-                events.append(AgentEvent(tick, agent.agent_id, SWITCHED_ON, rt.slot_labels[j]))
+            kind = SWITCHED_ON
+        if events is not None:
+            events.append(AgentEvent(tick, agent.agent_id, kind, rt.slot_labels[j]))
 
 
 def maybe_interact(
@@ -223,16 +294,14 @@ def maybe_interact(
     tick: int,
     events: list[AgentEvent] | None,
 ) -> None:
-    """Possibly chat with a random influenced neighbour about the meter.
+    """Chat with a random influenced neighbour about the meter, if any.
 
-    Caller guarantees the agent is influenced and at home.  The donor's
-    learning state comes from the start-of-tick snapshot so outcomes do not
-    depend on agent processing order.  A successful exchange gives the
-    recipient at most one bonus trial per day.  The coin is row[slots] and
-    the partner pick row[slots+1].
+    Caller guarantees the agent is influenced and at home and that its
+    chat coin landed (chat_coins).  The partner pick is row[slots+1].  The
+    donor's learning state comes from the start-of-tick snapshot so
+    outcomes do not depend on agent processing order.  A successful
+    exchange gives the recipient at most one bonus trial per day.
     """
-    if row[rt.n_slots] >= rt.p_interact:
-        return
     donors = [j for j in neighbor_ids if learning_snapshot[j] is not None]
     if not donors:
         return

@@ -116,10 +116,9 @@ class AgentState:
     """Mutable per agent simulation state.
 
     learning is None while the agent is uninfluenced.  appliance_on has one
-    flag per owned appliance instance, in archetype bundle order.  The
-    leave/return times are resampled every simulated day and always fall
-    inside the archetype windows.  bonus_trial_today caps peer learning at
-    one extra trial per day.
+    flag per owned appliance instance, in archetype bundle order.
+    bonus_trial_today caps peer learning at one extra trial per day.  The
+    day's leave and return times live in the engine's group arrays.
     """
 
     agent_id: int
@@ -127,8 +126,6 @@ class AgentState:
     at_home: bool
     learning: LearningState | None
     appliance_on: list[bool]
-    today_leave: int  # minutes since midnight
-    today_return: int
     bonus_trial_today: bool = False
 
 

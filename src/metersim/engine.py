@@ -16,19 +16,30 @@ what the agent does:
 Draws an agent does not need (away, uninfluenced, coin failed) are left
 unread, so runs at the same seed stay draw-aligned between scenario
 variants and nothing an agent does can shift another agent's stream.
-Ticks process agents in ascending id order; peer interactions read donor
-learning states from a start-of-tick snapshot, so outcomes do not depend
-on that order.
 
 A tick advances the clock by tick_minutes.  On the first tick of each day
-the engine does the day bookkeeping per agent (fresh matrix row, resample
-leave/return times, apply the intervention once due, book the daily
-reinforced trial for influenced agents that are at home); every tick then
-runs presence, appliance switching for at-home agents and possible peer
-interaction, and finally appends the population load sample in watts.
-The sample is the exactly rounded sum of power times the number of agents
-with the slot on, over every group's slots, so it is never negative and
-does not depend on the order in which agents switched.
+the engine does the day bookkeeping per agent (fresh matrix row, leave and
+return times for the whole group from columns 0 and 1, the intervention
+once due, the daily reinforced trial for influenced agents that are at
+home).  Every tick then decides, once per group and with numpy over the
+group's arrays (see behavior):
+
+    flip    presence_mask: whose home flag changes at this clock time
+    switch  switch_mask: which appliance slots of at-home agents switch
+    coin    chat_coins: which influenced at-home agents chat
+
+and visits only the agents with a flip, a switch or a landed coin, in
+ascending id order.  For each visited agent it calls step_presence,
+appliance_tick and maybe_interact, each only where its mask is set and in
+that order, so the events come out in the order of a loop over every agent.
+The group arrays (leave/return times, home, on, influenced, experienced)
+stay in step with the agents' own fields.  Peer interactions read donor
+learning states from a snapshot that is rebuilt at each day boundary and
+updated after each tick for the agents whose learning a chat changed, so
+outcomes do not depend on the visit order.  Finally the tick appends the
+population load sample in watts: the exactly rounded sum of power times the
+number of agents with the slot on, over every group's slots, so it is never
+negative and does not depend on the order in which agents switched.
 """
 
 from __future__ import annotations
@@ -44,10 +55,13 @@ from .behavior import (
     ArchetypeRuntime,
     apply_intervention,
     appliance_tick,
+    chat_coins,
     maybe_interact,
+    presence_mask,
     record_daily_trial,
     sample_daily_times,
     step_presence,
+    switch_mask,
 )
 from .domain import AgentState, LearningState, Scenario
 from .learning import trials_to_threshold
@@ -79,20 +93,52 @@ def apportion(total: int, weights: tuple[tuple[str, float], ...]) -> list[int]:
     return counts
 
 
-@dataclass(slots=True)
 class _Group:
     """The agents of one archetype mix entry, which have contiguous ids.
 
     draws holds today's uniforms, row k for the group's k-th agent, refilled
-    from that agent's generator gens[k] each day.  on_count counts the group's agents
-    that have each appliance slot on.
+    from that agent's generator gens[k] each day; tick_draws receives the
+    current tick's columns of it.  on_count counts the group's agents that
+    have each appliance slot on.  The arrays below run over the group's
+    agents in id order and mirror their state:
+
+        leave_at, return_at   today's leave and return minute
+        home                  AgentState.at_home
+        on                    AgentState.appliance_on, slot-major (slots x agents)
+        influenced            learning is not None
+        experienced           learning is experienced
+
+    flip, switch (slot-major) and coin are the current tick's masks; the
+    spare arrays are scratch space, so a tick allocates no array of the
+    group's size.
     """
 
-    rt: ArchetypeRuntime
-    agents: list[AgentState]
-    gens: list[np.random.Generator]
-    draws: np.ndarray
-    on_count: list[int]
+    __slots__ = (
+        "rt", "agents", "gens", "draws", "tick_draws", "on_count", "leave_at",
+        "return_at", "home", "on", "influenced", "experienced", "flip", "switch",
+        "coin", "spare", "spare_slots",
+    )
+
+    def __init__(self, rt: ArchetypeRuntime, agents: list[AgentState],
+                 gens: list[np.random.Generator], ticks_per_day: int):
+        count, slots = len(agents), rt.n_slots
+        self.rt = rt
+        self.agents = agents
+        self.gens = gens
+        self.draws = np.empty((count, 2 + ticks_per_day * (slots + 2)))
+        self.tick_draws = np.empty((count, slots + 2))
+        self.on_count = [0] * slots
+        self.home = np.ones(count, dtype=bool)
+        self.on = np.zeros((slots, count), dtype=bool)
+        self.influenced = np.zeros(count, dtype=bool)
+        self.experienced = np.zeros(count, dtype=bool)
+        self.flip = np.zeros(count, dtype=bool)
+        self.coin = np.zeros(count, dtype=bool)
+        self.spare = np.zeros(count, dtype=bool)
+        self.switch = np.zeros((slots, count), dtype=bool)
+        self.spare_slots = (np.zeros((slots, count), dtype=bool),
+                            np.zeros((slots, count), dtype=bool))
+        self.start_day()
 
     def start_day(self) -> None:
         """Fill every row with the agent's next block and draw today's
@@ -100,11 +146,33 @@ class _Group:
         draws = self.draws
         for gen, row in zip(self.gens, draws):
             gen.random(out=row)
-        spec = self.rt.spec
-        for agent, u_leave, u_return in zip(
-            self.agents, draws[:, 0].tolist(), draws[:, 1].tolist(),
-        ):
-            agent.today_leave, agent.today_return = sample_daily_times(spec, u_leave, u_return)
+        self.leave_at, self.return_at = sample_daily_times(
+            self.rt.spec, draws[:, 0], draws[:, 1])
+
+    def sync_learning(self) -> None:
+        """Rebuild influenced and experienced from the agents."""
+        learning = [a.learning for a in self.agents]
+        self.influenced[:] = [s is not None for s in learning]
+        self.experienced[:] = [s is not None and s.experienced for s in learning]
+
+    def decide(self, tick_in_day: int, now: int, bucket: int, in_peak: bool) -> np.ndarray:
+        """Fill the tick's draws and masks and return the indices of the
+        agents that act, ascending."""
+        rt = self.rt
+        stride = rt.n_slots + 2
+        off = 2 + tick_in_day * stride
+        u = self.tick_draws
+        np.copyto(u, self.draws[:, off:off + stride])
+        presence_mask(self.leave_at, self.return_at, now, self.home, self.flip, self.spare)
+        switch_mask(rt, bucket, in_peak, u, self.on, self.home, self.experienced,
+                    self.switch, self.spare_slots)
+        chat_coins(rt, u, self.home, self.influenced, self.coin)
+        self.on ^= self.switch
+        acts = self.spare
+        np.logical_or.reduce(self.switch, axis=0, out=acts)
+        acts |= self.flip
+        acts |= self.coin
+        return np.flatnonzero(acts)
 
 
 @dataclass(frozen=True)
@@ -153,21 +221,12 @@ class Simulation:
                     at_home=True,
                     learning=None,
                     appliance_on=[False] * rt.n_slots,
-                    today_leave=0,
-                    today_return=0,
                 )
                 for k in range(count)
             ]
-            group = _Group(
-                rt=rt,
-                agents=agents,
-                gens=[substream(cfg.seed, STREAM_AGENT, first + k) for k in range(count)],
-                draws=np.empty((count, 2 + self.ticks_per_day * (rt.n_slots + 2))),
-                on_count=[0] * rt.n_slots,
-            )
-            group.start_day()
+            gens = [substream(cfg.seed, STREAM_AGENT, first + k) for k in range(count)]
             self.agents.extend(agents)
-            self._groups.append(group)
+            self._groups.append(_Group(rt, agents, gens, self.ticks_per_day))
         learn_params = {group.rt.spec.id: group.rt.learn_params for group in self._groups}
 
         pop_rng = substream(cfg.seed, STREAM_POPULATION)
@@ -187,6 +246,8 @@ class Simulation:
         self.load_series: list[float] = []
         self.adoption_series: list[tuple[int, int, int]] = []
         self._tick_index = 0
+        # donor learning states as of the start of the current tick
+        self._snapshot: list[LearningState | None] = []
 
     def _day_boundary(self, day: int, tick_index: int) -> None:
         cfg = self.cfg
@@ -202,6 +263,8 @@ class Simulation:
                     apply_intervention(agent, tick_index, events)
                 if agent.learning is not None and agent.at_home:
                     record_daily_trial(agent, learn_params, tick_index, events)
+            group.sync_learning()
+        self._snapshot = [a.learning for a in self.agents]
 
     def tick(self) -> None:
         """Advance the world by one tick."""
@@ -216,36 +279,43 @@ class Simulation:
         if tick_in_day == 0:
             self._day_boundary(day, tick_index)
 
-        agents = self.agents
         adjacency = self.network.adjacency
-        learning_prev = [a.learning for a in agents]
+        snapshot = self._snapshot
+        learned: list[AgentState] = []  # agents whose learning a chat changed
         load_terms = []
         for group in self._groups:
             rt = group.rt
-            stride = rt.n_slots + 2
-            off = 2 + tick_in_day * stride
-            rows = group.draws[:, off:off + stride].tolist()
+            visit = group.decide(tick_in_day, now, bucket, in_peak)
+            agents = group.agents
             on_count = group.on_count
-            for agent, row in zip(group.agents, rows):
-                step_presence(agent, now, tick_index, events)
-                if agent.at_home:
-                    appliance_tick(agent, bucket, in_peak, rt, row, on_count, tick_index, events)
-                    if agent.learning is not None:
-                        maybe_interact(agent, adjacency[agent.agent_id], learning_prev, rt, row,
-                                       tick_index, events)
+            experienced = group.experienced
+            tick_draws = group.tick_draws
+            for k, flip, home, switches, coin in zip(
+                visit.tolist(), group.flip[visit].tolist(), group.home[visit].tolist(),
+                group.switch[:, visit].T.tolist(), group.coin[visit].tolist(),
+            ):
+                agent = agents[k]
+                if flip:
+                    step_presence(agent, home, tick_index, events)
+                if True in switches:
+                    appliance_tick(agent, rt, switches, on_count, tick_index, events)
+                if coin:
+                    before = agent.learning
+                    maybe_interact(agent, adjacency[agent.agent_id], snapshot, rt,
+                                   tick_draws[k].tolist(), tick_index, events)
+                    if agent.learning is not before:
+                        learned.append(agent)
+                        experienced[k] = agent.learning.experienced
             load_terms.extend(map(operator.mul, rt.slot_powers, on_count))
         self.load_series.append(math.fsum(load_terms))
+        for agent in learned:
+            snapshot[agent.agent_id] = agent.learning
 
         if tick_in_day == self.ticks_per_day - 1:
-            uninfluenced = 0
-            experienced = 0
-            for a in agents:
-                if a.learning is None:
-                    uninfluenced += 1
-                elif a.learning.experienced:
-                    experienced += 1
-            inexperienced = len(agents) - uninfluenced - experienced
-            self.adoption_series.append((uninfluenced, inexperienced, experienced))
+            influenced = sum(int(np.count_nonzero(g.influenced)) for g in self._groups)
+            experienced_total = sum(int(np.count_nonzero(g.experienced)) for g in self._groups)
+            self.adoption_series.append(
+                (len(self.agents) - influenced, influenced - experienced_total, experienced_total))
 
         self._tick_index = tick_index + 1
 
@@ -253,6 +323,8 @@ class Simulation:
         total = self.cfg.horizon_days * self.ticks_per_day
         while self._tick_index < total:
             self.tick()
+        for group in self._groups:
+            group.draws = None  # dead once the last tick has run
         return SimOutput(
             load_series=np.asarray(self.load_series, dtype=np.float64),
             adoption_series=tuple(self.adoption_series),

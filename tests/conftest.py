@@ -8,6 +8,14 @@ from metersim.domain import load_scenario, validate_scenario
 SAMPLE_PATH = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs", "sample_scenario.json")
 )
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+
+
+def child_env():
+    """The environment for a child Python process, with this checkout's
+    src first on PYTHONPATH as it is for the test process."""
+    paths = [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +90,17 @@ def tiny_doc(
             },
         ],
     }
+
+
+def daily_times(sim):
+    """Today's (leave, return) minutes of a Simulation, by agent id, read
+    from its group arrays."""
+    times = {}
+    for group in sim._groups:
+        pairs = zip(group.leave_at.tolist(), group.return_at.tolist())
+        for agent, pair in zip(group.agents, pairs):
+            times[agent.agent_id] = pair
+    return times
 
 
 @pytest.fixture

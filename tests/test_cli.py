@@ -9,7 +9,7 @@ from metersim import cli
 from metersim.cli import main
 from metersim.metrics import LoadCurve, read_load_curve, write_load_curve
 
-from conftest import tiny_doc
+from conftest import child_env, tiny_doc
 
 
 @pytest.fixture
@@ -282,7 +282,7 @@ def test_run_sample_scenario_long_horizon_reaches_experience(sample_path, tmp_pa
 def test_module_entry_point(tiny_config):
     result = subprocess.run(
         [sys.executable, "-m", "metersim", "validate", "--config", tiny_config()],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert result.returncode == 0
     assert result.stdout == "ok\n"
@@ -302,7 +302,7 @@ def test_scripts_exit_2_on_a_bad_scenario(tiny_config, tmp_path, script, args, m
     result = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, script),
          "--config", tiny_config(), "--out", str(out), *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert result.returncode == 2
     assert result.stderr.startswith(message)

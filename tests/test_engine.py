@@ -24,7 +24,7 @@ from metersim.engine import (
     substream,
 )
 
-from conftest import tiny_doc
+from conftest import daily_times, tiny_doc
 
 
 def micro_doc():
@@ -323,12 +323,14 @@ def test_population_starts_at_home_inside_windows():
     agents = sim.agents
     assert len(agents) == 20
     assert sim.network.edge_count == 40
+    times = daily_times(sim)
     for a in agents:
         assert a.at_home
         assert a.learning is None
         assert a.appliance_on == [False, False]
-        assert 600 <= a.today_leave <= 660
-        assert 840 <= a.today_return <= 900
+        leave, ret = times[a.agent_id]
+        assert 600 <= leave <= 660
+        assert 840 <= ret <= 900
 
 
 def test_scenario_variants_stay_draw_aligned():
@@ -368,12 +370,14 @@ def test_day_blocks_follow_the_agent_stream():
         if t % ticks_per_day:
             continue
         day = t // ticks_per_day
+        times = daily_times(sim)
         for agent in sim.agents:
             slots, leave_lo, leave_span, return_lo, return_span = layout[agent.archetype_id]
             block_len = 2 + ticks_per_day * (slots + 2)
             u = substream(19, STREAM_AGENT, agent.agent_id).random(3 * block_len)
-            assert agent.today_leave == leave_lo + int(u[day * block_len] * leave_span)
-            assert agent.today_return == return_lo + int(u[day * block_len + 1] * return_span)
+            leave, ret = times[agent.agent_id]
+            assert leave == leave_lo + int(u[day * block_len] * leave_span)
+            assert ret == return_lo + int(u[day * block_len + 1] * return_span)
     assert [a.archetype_id for a in sim.agents] == ["resident"] * 3 + ["loner"] * 2
 
 
