@@ -21,7 +21,7 @@ import time
 
 from . import __version__
 from .domain import DEFAULT_PEAK_WINDOW, Scenario, ScenarioValidationError, TimeOfDay, load_scenario
-from .engine import STREAM_ANALYSIS, STREAM_NETWORK, run, substream
+from .engine import STREAM_ANALYSIS, STREAM_NETWORK, Simulation, substream
 from .metrics import (
     DEFAULT_BUCKET_MINUTES,
     LengthMismatchError,
@@ -83,7 +83,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INVALID
 
     started = time.monotonic()
-    output = run(scenario, record_events=args.events)
+    sim = Simulation(scenario, record_events=args.events)
+    built = time.monotonic()
+    output = sim.run_all()
+    ran = time.monotonic()
+    # the agents, network and event list are dead once the output is built;
+    # held through the writing below they raise the peak memory
+    del sim
     try:
         curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
     except ValueError as exc:
@@ -121,6 +127,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "out_dir": os.path.abspath(args.out),
             "files": files,
             "engine_version": __version__,
+            "setup_seconds": round(built - started, 3),
+            "tick_seconds": round(ran - built, 3),
             "duration_seconds": round(time.monotonic() - started, 3),
         }
         with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:

@@ -2,7 +2,10 @@
 
 Randomness discipline: one master seed feeds named PCG64 substreams via
 SeedSequence spawn keys, one for population assembly, one for the contact
-network, and one per agent for behaviour.  Each agent draws one fixed size
+network, and one per agent for behaviour.  The agent streams' seed words
+come from one vectorised hash over a group's ids (agent_seed_words) that
+equals numpy's SeedSequence for the same spawn keys, so every agent's
+generator is the one substream would build.  Each agent draws one fixed size
 block of uniforms from its stream per simulated day, kept as that agent's
 row of its archetype group's float64 matrix (agents of one mix entry have
 contiguous ids and share a matrix).  The row's layout does not depend on
@@ -49,6 +52,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .behavior import (
     AgentEvent,
@@ -77,6 +81,103 @@ STREAM_ANALYSIS = 3
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a named part of the run."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a 4-word pool
+# of uint32, mixed with constants that do not depend on the data
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_WORDS = 4  # uint64 words PCG64 asks its seed source for
+
+
+def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """hashmix of every word of value, and the next hash constant."""
+    next_const = hash_const * mult & _MASK32
+    value = (value ^ np.uint32(hash_const)) * np.uint32(next_const)
+    return value ^ value >> np.uint32(16), next_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ result >> np.uint32(16)
+
+
+def agent_seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
+    """Row k is SeedSequence(seed, spawn_key=(STREAM_AGENT, ids[k]))
+    .generate_state(4, np.uint64), the words PCG64 seeds itself from,
+    computed for all ids at once.
+
+    The entropy is the seed's little-endian uint32 words, zero-padded to the
+    pool, then the spawn key's words: STREAM_AGENT, the id's low word and,
+    for an id of 2**32 or more, its high word.  Arrays of one element hold
+    the words every id shares and broadcast against the id columns.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    ids = np.asarray(ids, dtype=np.uint64)
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words)) + [STREAM_AGENT]
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append((ids & np.uint64(_MASK32)).astype(np.uint32))
+
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    # only the ids with a high word have this last round
+    high = (ids >> np.uint64(32)).astype(np.uint32)
+    has_high = high != 0
+    for dst in range(_POOL_SIZE):
+        value, hash_const = _hashmix(high, hash_const, _MULT_A)
+        pool[dst] = np.where(has_high, _mix(pool[dst], value), pool[dst])
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _PCG64_WORDS):
+        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    # uint64 word k is uint32 words 2k (low) and 2k+1 (high), as numpy
+    # defines it on every host
+    return np.stack([state[2 * k] | state[2 * k + 1] << np.uint64(32)
+                     for k in range(_PCG64_WORDS)], axis=1)
+
+
+class _Seeded(ISeedSequence):
+    """A seed source that hands PCG64 state words computed beforehand."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != _PCG64_WORDS or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only {_PCG64_WORDS} uint64 words are held, "
+                             f"not {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
+def agent_streams(seed: int, first: int, count: int) -> list[np.random.Generator]:
+    """substream(seed, STREAM_AGENT, i) for ids first .. first+count-1:
+    the same states, from one hash over all the ids."""
+    words = agent_seed_words(seed, np.arange(first, first + count, dtype=np.uint64))
+    return [np.random.Generator(np.random.PCG64(_Seeded(row))) for row in words]
 
 
 def apportion(total: int, weights: tuple[tuple[str, float], ...]) -> list[int]:
@@ -210,6 +311,12 @@ class Simulation:
         ]
         counts = apportion(cfg.population, cfg.archetype_mix)
 
+        pop_rng = substream(cfg.seed, STREAM_POPULATION)
+        perm = pop_rng.permutation(cfg.population)
+        n_seeded = int(math.floor(cfg.initial_experienced_fraction * cfg.population + 0.5))
+        seeded = np.zeros(cfg.population, dtype=bool)
+        seeded[perm[:n_seeded]] = True
+
         self.agents: list[AgentState] = []
         self._groups: list[_Group] = []
         for rt, count in zip(runtimes, counts):
@@ -224,19 +331,17 @@ class Simulation:
                 )
                 for k in range(count)
             ]
-            gens = [substream(cfg.seed, STREAM_AGENT, first + k) for k in range(count)]
+            picked = np.flatnonzero(seeded[first:first + count]).tolist()
+            if picked:
+                # validation rejects scenarios where this is unreachable; the
+                # state is frozen, so the group's pre-seeded agents share it
+                state = LearningState(trials_t=trials_to_threshold(rt.learn_params),
+                                      experienced=True)
+                for k in picked:
+                    agents[k].learning = state
+            gens = agent_streams(cfg.seed, first, count)
             self.agents.extend(agents)
             self._groups.append(_Group(rt, agents, gens, self.ticks_per_day))
-        learn_params = {group.rt.spec.id: group.rt.learn_params for group in self._groups}
-
-        pop_rng = substream(cfg.seed, STREAM_POPULATION)
-        perm = pop_rng.permutation(cfg.population)
-        n_seeded = int(math.floor(cfg.initial_experienced_fraction * cfg.population + 0.5))
-        for idx in perm[:n_seeded].tolist():
-            agent = self.agents[idx]
-            t_min = trials_to_threshold(learn_params[agent.archetype_id])
-            # validation rejects scenarios where this is unreachable
-            agent.learning = LearningState(trials_t=t_min, experienced=True)
 
         net_rng = substream(cfg.seed, STREAM_NETWORK)
         self.network = generate_small_world(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -66,8 +67,12 @@ def test_run_writes_outputs_and_manifest(tiny_config, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {
         "scenario_path", "seed", "out_dir", "files",
-        "engine_version", "duration_seconds",
+        "engine_version", "setup_seconds", "tick_seconds", "duration_seconds",
     }
+    assert manifest["setup_seconds"] >= 0 and manifest["tick_seconds"] >= 0
+    # three fields rounded to the millisecond on their own
+    timed = manifest["setup_seconds"] + manifest["tick_seconds"]
+    assert timed <= manifest["duration_seconds"] + 0.002
     assert manifest["seed"] == 11
     assert manifest["files"] == ["loadcurve.csv", "adoption.csv"]
     for name in manifest["files"]:
@@ -79,6 +84,29 @@ def test_run_writes_outputs_and_manifest(tiny_config, tmp_path, capsys):
     assert "files=loadcurve.csv,adoption.csv\n" in stdout
     assert "peak_start=" in stdout and "peak_watts=" in stdout
     assert "final_adoption=uninfluenced:" in stdout
+
+
+def test_run_frees_the_simulation_before_writing(tiny_config, tmp_path, monkeypatch):
+    """Only the output outlives the tick loop: the agents, network and event
+    list are freed before the files are written, so they do not add to the
+    peak memory of the writing."""
+    sims = []
+    run_all = cli.Simulation.run_all
+
+    def kept(sim):
+        sims.append(weakref.ref(sim))
+        return run_all(sim)
+
+    alive_at_write = []
+
+    def write(curve, path):
+        alive_at_write.append(sims[0]() is not None)
+        write_load_curve(curve, path)
+
+    monkeypatch.setattr(cli.Simulation, "run_all", kept)
+    monkeypatch.setattr(cli, "write_load_curve", write)
+    assert main(["run", "--config", tiny_config(), "--out", str(tmp_path / "out"), "--events"]) == 0
+    assert alive_at_write == [False]
 
 
 def test_run_events_flag_adds_event_log(tiny_config, tmp_path):

@@ -15,7 +15,8 @@ from metersim.behavior import (
     SWITCHED_OFF,
     SWITCHED_ON,
 )
-from metersim.domain import TimeOfDay, load_scenario, validate_scenario
+from metersim import engine
+from metersim.domain import LearningState, TimeOfDay, load_scenario, validate_scenario
 from metersim.engine import (
     STREAM_AGENT,
     Simulation,
@@ -23,6 +24,7 @@ from metersim.engine import (
     run,
     substream,
 )
+from metersim.learning import trials_to_threshold
 
 from conftest import daily_times, tiny_doc
 
@@ -291,17 +293,29 @@ def test_apportion(total, weights, expected):
     assert sum(counts) == total
 
 
-def test_preseeded_agents_are_experienced_at_threshold():
-    scenario = validate_scenario(tiny_doc(population=10, exp_frac=0.9, k=0.5, seed=13))
-    sim = Simulation(scenario)
+def test_preseeded_agents_are_experienced_at_threshold(monkeypatch):
+    """The threshold is worked out once per archetype group, and the
+    group's pre-seeded agents share one frozen state."""
+    thresholds = []
+    monkeypatch.setattr(engine, "trials_to_threshold",
+                        lambda params: thresholds.append(params) or trials_to_threshold(params))
+    doc = tiny_doc(population=10, mix={"resident": 0.6, "loner": 0.4}, exp_frac=0.9,
+                   k=0.5, seed=13)
+    doc["archetypes"].append(dict(doc["archetypes"][0], id="loner", learning_rate_k=0.25))
+    sim = Simulation(validate_scenario(doc))
     agents = sim.agents
     assert sim.network.node_count == 10
+    assert len(thresholds) == 2
     seeded = [a for a in agents if a.learning is not None]
     assert len(seeded) == 9
+    # threshold trial count for M=1, threshold 0.85: 4 at k=0.5, 8 at k=0.25
+    expected = {"resident": LearningState(trials_t=4, experienced=True),
+                "loner": LearningState(trials_t=8, experienced=True)}
     for a in seeded:
-        # threshold trial count for k=0.5, M=1, threshold 0.85
-        assert a.learning == type(a.learning)(trials_t=4, experienced=True)
+        assert a.learning == expected[a.archetype_id]
         assert a.at_home
+    for arch_id in expected:
+        assert len({id(a.learning) for a in seeded if a.archetype_id == arch_id}) == 1
 
 
 @pytest.mark.parametrize("pop,frac,expected", [
