@@ -258,21 +258,19 @@ def record_daily_trial(
 def appliance_tick(
     agent: AgentState,
     rt: ArchetypeRuntime,
-    switches: list[bool],
+    slots: list[int],
     on_count: list[int],
     tick: int,
     events: list[AgentEvent] | None,
 ) -> None:
     """Apply the agent's row of switch_mask.
 
-    Every slot j marked in switches flips: an off slot switches on, an on
-    slot switches off, and on_count[j] (the group's number of agents with
-    the slot on) moves by one.
+    slots lists the slots marked in the row, ascending.  Each slot j flips:
+    an off slot switches on, an on slot switches off, and on_count[j] (the
+    group's number of agents with the slot on) moves by one.
     """
     on = agent.appliance_on
-    for j, switch in enumerate(switches):
-        if not switch:
-            continue
+    for j in slots:
         if on[j]:
             on[j] = False
             on_count[j] -= 1

@@ -19,6 +19,11 @@ import os
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import __version__
 from .domain import DEFAULT_PEAK_WINDOW, Scenario, ScenarioValidationError, TimeOfDay, load_scenario
 from .engine import STREAM_ANALYSIS, STREAM_NETWORK, Simulation, substream
@@ -68,19 +73,20 @@ def _load_scenario_or_exit(args: argparse.Namespace) -> Scenario | int:
         return EXIT_IO
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident memory in MiB, or None where the
+    platform does not report it."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # KiB on Linux, bytes on macOS
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario_or_exit(args)
     if isinstance(scenario, int):
         return scenario
-
-    tick = scenario.config.tick_minutes
-    if DEFAULT_BUCKET_MINUTES % tick != 0:
-        print(
-            f"BadBucket: tick_minutes {tick} does not divide the "
-            f"{DEFAULT_BUCKET_MINUTES} minute output bucket",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
 
     started = time.monotonic()
     sim = Simulation(scenario, record_events=args.events)
@@ -131,6 +137,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             "tick_seconds": round(ran - built, 3),
             "duration_seconds": round(time.monotonic() - started, 3),
         }
+        peak_rss_mb = _peak_rss_mb()
+        if peak_rss_mb is not None:
+            manifest["peak_rss_mb"] = peak_rss_mb
         with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")

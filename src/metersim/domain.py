@@ -17,6 +17,7 @@ from typing import Any, Mapping
 
 MINUTES_PER_DAY = 1440
 PROFILE_BUCKETS = 48  # half hour switch-on propensity buckets
+DEFAULT_BUCKET_MINUTES = 30  # the load curve run writes; a tick must divide it
 
 # violation codes used by validate_scenario
 MIX_NOT_NORMALIZED = "MixNotNormalized"
@@ -26,6 +27,7 @@ BAD_WINDOW = "BadWindow"
 BAD_PROFILE_LENGTH = "BadProfileLength"
 BAD_DEGREE = "BadDegree"
 BAD_VALUE = "BadValue"
+BAD_BUCKET = "BadBucket"
 
 MIX_TOLERANCE = 1e-9
 
@@ -401,6 +403,10 @@ def _parse_scenario_section(obj: Mapping[str, Any], errs: _Collector) -> Scenari
     tick = values.get("tick_minutes")
     if tick is not None and MINUTES_PER_DAY % tick != 0:
         errs.add(BAD_VALUE, f"{where}: tick_minutes must divide {MINUTES_PER_DAY}, got {tick}")
+        del values["tick_minutes"]
+    elif tick is not None and DEFAULT_BUCKET_MINUTES % tick != 0:
+        errs.add(BAD_BUCKET, f"{where}: tick_minutes {tick} does not divide the "
+                             f"{DEFAULT_BUCKET_MINUTES} minute output bucket")
         del values["tick_minutes"]
 
     if "peak_window" in obj:

@@ -6,26 +6,31 @@ network, and one per agent for behaviour.  The agent streams' seed words
 come from one vectorised hash over a group's ids (agent_seed_words) that
 equals numpy's SeedSequence for the same spawn keys, so every agent's
 generator is the one substream would build.  Each agent draws one fixed size
-block of uniforms from its stream per simulated day, kept as that agent's
-row of its archetype group's float64 matrix (agents of one mix entry have
-contiguous ids and share a matrix).  The row's layout does not depend on
-what the agent does:
+block of uniforms from its stream per simulated day, with a layout that
+does not depend on what the agent does (positions within the day's block):
 
-    column 0, 1                    leave and return time
+    0, 1                           leave and return time
     2 + t*(slots+2) + j            switching draw of slot j at tick t
     2 + t*(slots+2) + slots        interaction coin at tick t
     2 + t*(slots+2) + slots + 1    interaction partner pick at tick t
 
 Draws an agent does not need (away, uninfluenced, coin failed) are left
 unread, so runs at the same seed stay draw-aligned between scenario
-variants and nothing an agent does can shift another agent's stream.
+variants and nothing an agent does can shift another agent's stream.  The
+block is held one chunk of ticks at a time, in the agent's row of its
+archetype group's float64 matrix (agents of one mix entry have contiguous
+ids and share a matrix): the day's first fill takes the two times and the
+first chunk, and each later chunk is drawn into the same columns when the
+day reaches it.  Successive fills continue the stream, so every draw is the
+one the whole block would hold at that position.
 
 A tick advances the clock by tick_minutes.  On the first tick of each day
-the engine does the day bookkeeping per agent (fresh matrix row, leave and
-return times for the whole group from columns 0 and 1, the intervention
+the engine does the day bookkeeping per agent (the day's first fill, leave
+and return times for the whole group from columns 0 and 1, the intervention
 once due, the daily reinforced trial for influenced agents that are at
-home).  Every tick then decides, once per group and with numpy over the
-group's arrays (see behavior):
+home); the first tick of each later chunk refills the rows.  Every tick
+then decides, once per group and with numpy over the group's arrays (see
+behavior):
 
     flip    presence_mask: whose home flag changes at this clock time
     switch  switch_mask: which appliance slots of at-home agents switch
@@ -33,13 +38,14 @@ group's arrays (see behavior):
 
 and visits only the agents with a flip, a switch or a landed coin, in
 ascending id order.  For each visited agent it calls step_presence,
-appliance_tick and maybe_interact, each only where its mask is set and in
-that order, so the events come out in the order of a loop over every agent.
-The group arrays (leave/return times, home, on, influenced, experienced)
-stay in step with the agents' own fields.  Peer interactions read donor
-learning states from a snapshot that is rebuilt at each day boundary and
-updated after each tick for the agents whose learning a chat changed, so
-outcomes do not depend on the visit order.  Finally the tick appends the
+appliance_tick (with the agent's switched slots) and maybe_interact, each
+only where its mask is set and in that order, so the events come out in the
+order of a loop over every agent.  The group arrays (leave/return times,
+home, on, influenced, experienced) stay in step with the agents' own
+fields.  Peer interactions read donor learning states from a snapshot that
+is rebuilt at each day boundary and updated after each tick for the agents
+whose learning a chat changed, so outcomes do not depend on the visit
+order.  Finally the tick appends the
 population load sample in watts: the exactly rounded sum of power times the
 number of agents with the slot on, over every group's slots, so it is never
 negative and does not depend on the order in which agents switched.
@@ -194,12 +200,30 @@ def apportion(total: int, weights: tuple[tuple[str, float], ...]) -> list[int]:
     return counts
 
 
+# Most tick draws an agent's row holds at once.  A fill costs about 1.5 us a
+# call plus 7 ns a value (2-core x86-64 VM), so at 256 values the fixed cost
+# of the extra refills no longer dominates, while 10 000 households of the
+# sample hold 17 MB of draws instead of the whole day's 104 MB.
+DRAWS_PER_REFILL = 256
+
+
+def chunk_ticks(ticks_per_day: int, stride: int) -> int:
+    """Ticks per chunk: the day cut into the fewest equal chunks whose tick
+    columns (stride per tick) hold at most DRAWS_PER_REFILL values, the
+    last chunk cut short where they do not divide the day."""
+    most = max(1, DRAWS_PER_REFILL // stride)
+    chunks = -(-ticks_per_day // most)
+    return -(-ticks_per_day // chunks)
+
+
 class _Group:
     """The agents of one archetype mix entry, which have contiguous ids.
 
-    draws holds today's uniforms, row k for the group's k-th agent, refilled
-    from that agent's generator gens[k] each day; tick_draws receives the
-    current tick's columns of it.  on_count counts the group's agents that
+    draws holds the current chunk of today's block, row k for the group's
+    k-th agent, drawn from that agent's generator gens[k]: columns 0 and 1
+    are the day's two times and column 2 + c*(slots+2) starts the draws of
+    the chunk's tick c.  A chunk is chunk ticks long, the day's last one
+    possibly shorter.  tick_draws receives the current tick's columns.  on_count counts the group's agents that
     have each appliance slot on.  The arrays below run over the group's
     agents in id order and mirror their state:
 
@@ -215,9 +239,9 @@ class _Group:
     """
 
     __slots__ = (
-        "rt", "agents", "gens", "draws", "tick_draws", "on_count", "leave_at",
-        "return_at", "home", "on", "influenced", "experienced", "flip", "switch",
-        "coin", "spare", "spare_slots",
+        "rt", "agents", "gens", "chunk", "ticks_per_day", "draws", "tick_draws",
+        "on_count", "leave_at", "return_at", "home", "on", "influenced",
+        "experienced", "flip", "switch", "coin", "spare", "spare_slots",
     )
 
     def __init__(self, rt: ArchetypeRuntime, agents: list[AgentState],
@@ -226,7 +250,9 @@ class _Group:
         self.rt = rt
         self.agents = agents
         self.gens = gens
-        self.draws = np.empty((count, 2 + ticks_per_day * (slots + 2)))
+        self.chunk = chunk_ticks(ticks_per_day, slots + 2)
+        self.ticks_per_day = ticks_per_day
+        self.draws = np.empty((count, 2 + self.chunk * (slots + 2)))
         self.tick_draws = np.empty((count, slots + 2))
         self.on_count = [0] * slots
         self.home = np.ones(count, dtype=bool)
@@ -242,13 +268,20 @@ class _Group:
         self.start_day()
 
     def start_day(self) -> None:
-        """Fill every row with the agent's next block and draw today's
-        leave and return times from columns 0 and 1."""
+        """Fill every row with the start of the agent's next block and draw
+        today's leave and return times from columns 0 and 1."""
         draws = self.draws
         for gen, row in zip(self.gens, draws):
             gen.random(out=row)
         self.leave_at, self.return_at = sample_daily_times(
             self.rt.spec, draws[:, 0], draws[:, 1])
+
+    def refill(self, ticks: int) -> None:
+        """Draw the next ticks ticks of every agent's block into the
+        rows' tick columns."""
+        # each row's slice is contiguous, as gen.random requires of out
+        for gen, row in zip(self.gens, self.draws[:, 2:2 + ticks * (self.rt.n_slots + 2)]):
+            gen.random(out=row)
 
     def sync_learning(self) -> None:
         """Rebuild influenced and experienced from the agents."""
@@ -261,7 +294,10 @@ class _Group:
         agents that act, ascending."""
         rt = self.rt
         stride = rt.n_slots + 2
-        off = 2 + tick_in_day * stride
+        chunk_tick = tick_in_day % self.chunk
+        if tick_in_day and not chunk_tick:
+            self.refill(min(self.chunk, self.ticks_per_day - tick_in_day))
+        off = 2 + chunk_tick * stride
         u = self.tick_draws
         np.copyto(u, self.draws[:, off:off + stride])
         presence_mask(self.leave_at, self.return_at, now, self.home, self.flip, self.spare)
@@ -395,15 +431,22 @@ class Simulation:
             on_count = group.on_count
             experienced = group.experienced
             tick_draws = group.tick_draws
-            for k, flip, home, switches, coin in zip(
+            # the switched slots of every visited agent in (agent, slot)
+            # order, and how many belong to each agent
+            switch = group.switch[:, visit]
+            switched = np.nonzero(switch.T)[1].tolist()
+            first = 0
+            for k, flip, home, n_switched, coin in zip(
                 visit.tolist(), group.flip[visit].tolist(), group.home[visit].tolist(),
-                group.switch[:, visit].T.tolist(), group.coin[visit].tolist(),
+                np.count_nonzero(switch, axis=0).tolist(), group.coin[visit].tolist(),
             ):
                 agent = agents[k]
                 if flip:
                     step_presence(agent, home, tick_index, events)
-                if True in switches:
-                    appliance_tick(agent, rt, switches, on_count, tick_index, events)
+                if n_switched:
+                    last = first + n_switched
+                    appliance_tick(agent, rt, switched[first:last], on_count, tick_index, events)
+                    first = last
                 if coin:
                     before = agent.learning
                     maybe_interact(agent, adjacency[agent.agent_id], snapshot, rt,

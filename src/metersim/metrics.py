@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MINUTES_PER_DAY, TimeOfDay
+from .domain import DEFAULT_BUCKET_MINUTES, MINUTES_PER_DAY, TimeOfDay
 from .engine import SimOutput
 
-DEFAULT_BUCKET_MINUTES = 30
 CSV_HEADER = ("bucket_start_min", "mean_watts")
 
 

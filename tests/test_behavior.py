@@ -88,7 +88,8 @@ def switch_round(agent, bucket, in_peak, rt, row, on_count, tick, events):
     """One switching round for one agent, as the engine runs it: the group
     mask decides, appliance_tick applies the agent's row."""
     switches = switch_row(agent, bucket, in_peak, rt, np.array([row], dtype=np.float64))
-    appliance_tick(agent, rt, switches, on_count, tick, events)
+    slots = [j for j, switch in enumerate(switches) if switch]
+    appliance_tick(agent, rt, slots, on_count, tick, events)
 
 
 def coin_lands(agent, rt, draws):
@@ -341,12 +342,12 @@ def test_appliance_tick_flips_exactly_the_marked_slots():
     agent = make_agent(on=[True, False])
     on_count = [3, 1]
     events = []
-    appliance_tick(agent, rt, [True, True], on_count, 4, events)
+    appliance_tick(agent, rt, [0, 1], on_count, 4, events)
     assert agent.appliance_on == [False, True] and on_count == [2, 2]
     assert [(e.tick, e.kind, e.detail) for e in events] == [
         (4, SWITCHED_OFF, "heater#0"), (4, SWITCHED_ON, "shifter#0"),
     ]
-    appliance_tick(agent, rt, [False, True], on_count, 5, None)
+    appliance_tick(agent, rt, [1], on_count, 5, None)
     assert agent.appliance_on == [False, False] and on_count == [2, 1]
 
 

@@ -65,10 +65,14 @@ def test_run_writes_outputs_and_manifest(tiny_config, tmp_path, capsys):
     assert adoption_lines[1].startswith("0,")
 
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest) == {
+    keys = {
         "scenario_path", "seed", "out_dir", "files",
         "engine_version", "setup_seconds", "tick_seconds", "duration_seconds",
     }
+    if cli.resource is not None:
+        keys.add("peak_rss_mb")
+        assert manifest["peak_rss_mb"] > 0
+    assert set(manifest) == keys
     assert manifest["setup_seconds"] >= 0 and manifest["tick_seconds"] >= 0
     # three fields rounded to the millisecond on their own
     timed = manifest["setup_seconds"] + manifest["tick_seconds"]
@@ -84,6 +88,14 @@ def test_run_writes_outputs_and_manifest(tiny_config, tmp_path, capsys):
     assert "files=loadcurve.csv,adoption.csv\n" in stdout
     assert "peak_start=" in stdout and "peak_watts=" in stdout
     assert "final_adoption=uninfluenced:" in stdout
+
+
+def test_manifest_leaves_peak_rss_out_where_the_platform_has_no_resource(
+        tiny_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "resource", None)
+    out = tmp_path / "out"
+    assert main(["run", "--config", tiny_config(), "--out", str(out)]) == 0
+    assert "peak_rss_mb" not in json.loads((out / "manifest.json").read_text())
 
 
 def test_run_frees_the_simulation_before_writing(tiny_config, tmp_path, monkeypatch):
@@ -197,6 +209,16 @@ def test_run_rejects_tick_that_does_not_fit_output_buckets(tiny_config, tmp_path
     config = tiny_config(name="tick20.json", tick=20)
     assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
     assert "BadBucket" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tick", [20, 45, 60])
+def test_validate_rejects_tick_that_does_not_fit_output_buckets(tiny_config, tick, capsys):
+    """A tick that divides the day but not the 30 minute output bucket is
+    refused by validate itself, with the code run reports for it."""
+    config = tiny_config(name=f"tick{tick}.json", tick=tick)
+    assert main(["validate", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("BadBucket: ") and err.count("\n") == 1
 
 
 def run_tiny_and_get_curve(tiny_config, tmp_path):

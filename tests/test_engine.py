@@ -395,6 +395,38 @@ def test_day_blocks_follow_the_agent_stream():
     assert [a.archetype_id for a in sim.agents] == ["resident"] * 3 + ["loner"] * 2
 
 
+def test_tick_draws_follow_the_agent_stream_across_refills():
+    """Each tick's draws are values d*block_len + 2 + t*stride onwards of
+    the agent's own substream, stride being slots+2, on the first tick of
+    every chunk and through a short last chunk as on any other tick."""
+    doc = tiny_doc(population=5, mix={"resident": 0.6, "loner": 0.4}, horizon=2,
+                   tick=5, seed=23)
+    doc["archetypes"].append(dict(doc["archetypes"][0], id="loner", appliances={"heater": 3}))
+    scenario = validate_scenario(doc)
+    ticks_per_day = scenario.config.ticks_per_day
+    sim = Simulation(scenario)
+    streams = {}
+    for group in sim._groups:
+        stride = group.rt.n_slots + 2
+        assert group.draws.shape[1] == 2 + group.chunk * stride <= 2 + engine.DRAWS_PER_REFILL
+        block_len = 2 + ticks_per_day * stride
+        for agent in group.agents:
+            streams[agent.agent_id] = (
+                substream(23, STREAM_AGENT, agent.agent_id).random(2 * block_len), stride, block_len)
+    chunks = {g.rt.n_slots: g.chunk for g in sim._groups}
+    # the day splits into several chunks; the two-slot one ends short
+    assert chunks[2] < ticks_per_day and ticks_per_day % chunks[2]
+    assert chunks[3] < ticks_per_day
+    for tick_index in range(2 * ticks_per_day):
+        sim.tick()
+        day, t = divmod(tick_index, ticks_per_day)
+        for group in sim._groups:
+            for k, agent in enumerate(group.agents):
+                u, stride, block_len = streams[agent.agent_id]
+                start = day * block_len + 2 + t * stride
+                assert group.tick_draws[k].tolist() == u[start:start + stride].tolist()
+
+
 def test_simulation_set_up_memory_at_2000_agents(sample_path):
     """One float64 draw row per agent keeps the set-up of 2000 sample
     households under 40 MB (a list of boxed floats per agent took 84 MB)."""
@@ -407,6 +439,22 @@ def test_simulation_set_up_memory_at_2000_agents(sample_path):
         tracemalloc.stop()
     assert len(sim.agents) == 2000
     assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("tick", [10, 1])
+def test_set_up_memory_does_not_grow_with_the_day(sample_path, tick):
+    """The draw rows hold one chunk of ticks, not the whole day, so the
+    set-up of 2000 sample households stays under 12 MB at 144 ticks a day
+    and at 1440 (holding the whole day took 23 and 201 MB)."""
+    scenario = load_scenario(sample_path, {"population": 2000, "tick_minutes": tick})
+    tracemalloc.start()
+    try:
+        sim = Simulation(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sim.agents) == 2000
+    assert peak < 12 * 2**20
 
 
 def test_substreams_are_stable_and_distinct():

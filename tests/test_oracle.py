@@ -69,7 +69,7 @@ def scenario_docs(draw):
         "intervention_start_day": draw(st.integers(0, 4)),
         "initial_experienced_fraction": draw(st.sampled_from([0.0, 0.5, 1.0])),
         "horizon_days": draw(st.integers(1, 3)),
-        "tick_minutes": draw(st.sampled_from([10, 15, 30, 60])),
+        "tick_minutes": draw(st.sampled_from([5, 10, 15, 30])),
         "base_interaction_rate": draw(st.sampled_from([0.0, 0.3, 1.0])),
         "seed": draw(st.integers(0, 2**32 - 1)),
         "peak_suppression": draw(st.sampled_from([0.0, 0.5, 1.0])),
