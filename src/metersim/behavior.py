@@ -24,6 +24,7 @@ doubled.  Non deferrable appliances are never touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +40,10 @@ SWITCHED_OFF = "SwitchedOff"
 INTERACTED = "Interacted"
 
 
-@dataclass(frozen=True, slots=True)
-class AgentEvent:
-    """One observable agent transition. detail names the appliance instance
-    for switch events and the peer agent id for interactions."""
+class AgentEvent(NamedTuple):
+    """One observable agent transition, a row of events.csv as it stands.
+    detail names the appliance instance for switch events and the peer
+    agent id for interactions."""
 
     tick: int
     agent_id: int

@@ -13,6 +13,7 @@ Exit codes: 0 on success, 2 on validation or comparison input problems
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -89,26 +90,54 @@ def cmd_run(args: argparse.Namespace) -> int:
         return scenario
 
     started = time.monotonic()
-    sim = Simulation(scenario, record_events=args.events)
-    built = time.monotonic()
-    output = sim.run_all()
-    ran = time.monotonic()
-    # the agents, network and event list are dead once the output is built;
-    # held through the writing below they raise the peak memory
+    made = []  # the directories --out adds, innermost first
+    parent = os.path.abspath(args.out)
+    while not os.path.exists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    events_path = os.path.join(args.out, "events.csv") if args.events else None
+    # events.csv is written as the run goes, so a bad --out is found
+    # before the first tick
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        events_file = None if events_path is None else open(
+            events_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+    try:
+        with events_file or contextlib.nullcontext():
+            sink = None
+            if events_file is not None:
+                writer = csv.writer(events_file, lineterminator="\n")
+                writer.writerow(("tick", "agent_id", "kind", "detail"))
+                sink = writer.writerows
+            sim = Simulation(scenario, event_sink=sink)
+            built = time.monotonic()
+            output = sim.run_all()
+            ran = time.monotonic()
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_IO
+    # the agents and network are dead once the output is built; held
+    # through the writing below they raise the peak memory
     del sim
     try:
         curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
     except ValueError as exc:
         print(f"BadCurve: {exc}", file=sys.stderr)
+        # a refused run leaves nothing behind
+        with contextlib.suppress(OSError):
+            if events_path is not None:
+                os.remove(events_path)
+            for directory in made:
+                os.rmdir(directory)
         return EXIT_INVALID
 
+    files = ["loadcurve.csv", "adoption.csv"] + (["events.csv"] if args.events else [])
     try:
-        os.makedirs(args.out, exist_ok=True)
-        files = []
-
-        curve_path = os.path.join(args.out, "loadcurve.csv")
-        write_load_curve(curve, curve_path)
-        files.append("loadcurve.csv")
+        write_load_curve(curve, os.path.join(args.out, "loadcurve.csv"))
 
         adoption_path = os.path.join(args.out, "adoption.csv")
         with open(adoption_path, "w", encoding="utf-8", newline="") as fh:
@@ -116,16 +145,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             writer.writerow(("day", "uninfluenced", "inexperienced", "experienced"))
             for day, row in enumerate(output.adoption_series):
                 writer.writerow((day, *row))
-        files.append("adoption.csv")
-
-        if args.events:
-            events_path = os.path.join(args.out, "events.csv")
-            with open(events_path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(("tick", "agent_id", "kind", "detail"))
-                for ev in output.events:
-                    writer.writerow((ev.tick, ev.agent_id, ev.kind, ev.detail))
-            files.append("events.csv")
 
         manifest = {
             "scenario_path": os.path.abspath(args.config),

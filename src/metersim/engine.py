@@ -45,16 +45,19 @@ home, on, influenced, experienced) stay in step with the agents' own
 fields.  Peer interactions read donor learning states from a snapshot that
 is rebuilt at each day boundary and updated after each tick for the agents
 whose learning a chat changed, so outcomes do not depend on the visit
-order.  Finally the tick appends the
-population load sample in watts: the exactly rounded sum of power times the
-number of agents with the slot on, over every group's slots, so it is never
-negative and does not depend on the order in which agents switched.
+order.  The tick then appends the population load sample in watts: the
+exactly rounded sum of power times the number of agents with the slot on,
+over every group's slots, so it is never negative and does not depend on
+the order in which agents switched.  Finally it hands the tick's events, in
+order, to the run's event sink in one call, so a run holds at most one
+tick's events.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,7 +322,7 @@ class SimOutput:
     load_series has one population demand sample (watts) per tick.
     adoption_series has one (uninfluenced, inexperienced, experienced)
     count triple per day, taken after the day's last tick.  events is None
-    unless the run recorded them.
+    unless the run was built with record_events.
     """
 
     load_series: np.ndarray
@@ -330,14 +333,29 @@ class SimOutput:
 
 
 class Simulation:
-    """One single-use run of a validated scenario."""
+    """One single-use run of a validated scenario.
 
-    def __init__(self, scenario: Scenario, *, record_events: bool = False):
+    Each tick ends by passing the list of that tick's events to one sink
+    call, in the order they happened (an empty list for a quiet tick); the
+    list is the sink's to keep.  With record_events the sink is the run's
+    own list, which becomes SimOutput.events; event_sink names another sink,
+    such as a csv writer's writerows, and leaves SimOutput.events None.
+    With neither, no events are made.
+    """
+
+    def __init__(self, scenario: Scenario, *, record_events: bool = False,
+                 event_sink: Callable[[list[AgentEvent]], object] | None = None):
+        if record_events and event_sink is not None:
+            raise ValueError("record_events and event_sink are exclusive")
         cfg = scenario.config
         self.scenario = scenario
         self.cfg = cfg
         self.ticks_per_day = cfg.ticks_per_day
-        self.events: list[AgentEvent] | None = [] if record_events else None
+        self._recorded: list[AgentEvent] | None = [] if record_events else None
+        self._event_sink = self._recorded.extend if record_events else event_sink
+        # the current tick's events, handed to the sink as the tick ends
+        self.tick_events: list[AgentEvent] | None = (
+            None if self._event_sink is None else [])
 
         catalog = {a.id: a for a in scenario.appliances}
         arch_by_id = {a.id: a for a in scenario.archetypes}
@@ -392,7 +410,7 @@ class Simulation:
 
     def _day_boundary(self, day: int, tick_index: int) -> None:
         cfg = self.cfg
-        events = self.events
+        events = self.tick_events
         intervention_due = day >= cfg.intervention_start_day
         for group in self._groups:
             if day > 0:
@@ -415,7 +433,7 @@ class Simulation:
         now = tick_in_day * cfg.tick_minutes
         bucket = now // 30
         in_peak = cfg.peak_window[0].minutes <= now < cfg.peak_window[1].minutes
-        events = self.events
+        events = self.tick_events
 
         if tick_in_day == 0:
             self._day_boundary(day, tick_index)
@@ -465,6 +483,9 @@ class Simulation:
             self.adoption_series.append(
                 (len(self.agents) - influenced, influenced - experienced_total, experienced_total))
 
+        if events is not None:
+            self._event_sink(events)
+            self.tick_events = []
         self._tick_index = tick_index + 1
 
     def run_all(self) -> SimOutput:
@@ -476,7 +497,7 @@ class Simulation:
         return SimOutput(
             load_series=np.asarray(self.load_series, dtype=np.float64),
             adoption_series=tuple(self.adoption_series),
-            events=tuple(self.events) if self.events is not None else None,
+            events=tuple(self._recorded) if self._recorded is not None else None,
             scenario=self.scenario,
             seed=self.cfg.seed,
         )

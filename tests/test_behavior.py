@@ -13,6 +13,7 @@ from metersim.behavior import (
     RETURNED_HOME,
     SWITCHED_OFF,
     SWITCHED_ON,
+    AgentEvent,
     ArchetypeRuntime,
     apply_intervention,
     appliance_tick,
@@ -219,6 +220,16 @@ def test_step_presence_keeps_learning():
     step_presence(agent, home_at(agent, 525, 1080, 530), tick=1, events=None)
     step_presence(agent, home_at(agent, 525, 1080, 1080), tick=2, events=None)
     assert agent.learning is state
+
+
+def test_agent_event_is_an_immutable_csv_row():
+    event = AgentEvent(3, 7, SWITCHED_ON, "heater#0")
+    assert isinstance(event, tuple)
+    assert AgentEvent._fields == ("tick", "agent_id", "kind", "detail")
+    assert tuple(event) == (3, 7, SWITCHED_ON, "heater#0")
+    assert AgentEvent(3, 7, LEFT_HOME).detail == ""
+    with pytest.raises(AttributeError):
+        event.kind = SWITCHED_OFF
 
 
 def test_apply_intervention_once():

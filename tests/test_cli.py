@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,12 @@ import pytest
 
 from metersim import cli
 from metersim.cli import main
+from metersim.domain import validate_scenario
+from metersim.engine import run
 from metersim.metrics import LoadCurve, read_load_curve, write_load_curve
 
 from conftest import child_env, tiny_doc
+from test_engine import micro_doc
 
 
 @pytest.fixture
@@ -131,6 +136,27 @@ def test_run_events_flag_adds_event_log(tiny_config, tmp_path):
     assert manifest["files"] == ["loadcurve.csv", "adoption.csv", "events.csv"]
 
 
+@pytest.mark.parametrize("doc", [
+    tiny_doc(),
+    # chats, and agents experienced from the start
+    tiny_doc(population=16, degree=4, beta=0.3, rate=1.0, exp_frac=0.5, seed=8),
+    micro_doc(),
+], ids=["tiny", "tiny-chatty", "micro"])
+def test_run_streams_the_event_log_that_run_records(doc, tmp_path):
+    """events.csv, written a tick at a time, holds the events of an
+    in-memory run of the same scenario, row for row."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--events"]) == 0
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("tick", "agent_id", "kind", "detail"))
+    writer.writerows(run(validate_scenario(doc), record_events=True).events)
+    assert (out / "events.csv").read_text(encoding="utf-8") == expected.getvalue()
+
+
 def test_run_is_byte_deterministic(tiny_config, tmp_path):
     config = tiny_config()
     a = tmp_path / "a"
@@ -203,6 +229,45 @@ def test_run_reports_a_bad_curve_instead_of_a_traceback(tiny_config, tmp_path, c
     assert main(["run", "--config", tiny_config(), "--out", str(out)]) == 2
     assert "BadCurve: curve values must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_with_events_reports_a_bad_curve_and_leaves_no_outputs(
+        tiny_config, tmp_path, capsys, monkeypatch):
+    def refuse(output, bucket_minutes):
+        raise ValueError("curve values must be finite and non-negative")
+
+    monkeypatch.setattr(cli, "aggregate_load", refuse)
+    out = tmp_path / "o" / "run"
+    assert main(["run", "--config", tiny_config(), "--out", str(out), "--events"]) == 2
+    assert "BadCurve: curve values must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+    # a directory that was there before stays, without the streamed log
+    out.mkdir(parents=True)
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    assert main(["run", "--config", tiny_config(), "--out", str(out), "--events"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+
+@pytest.mark.parametrize("blocker, flags", [
+    ("out is a file", []),
+    ("out is a file", ["--events"]),
+    ("events.csv is a directory", ["--events"]),
+])
+def test_run_exits_1_before_the_tick_loop_when_out_cannot_be_written(
+        tiny_config, tmp_path, capsys, monkeypatch, blocker, flags):
+    out = tmp_path / "o"
+    if blocker == "out is a file":
+        out.write_text("", encoding="utf-8")
+    else:
+        (out / "events.csv").mkdir(parents=True)
+
+    def loop(sim):
+        raise AssertionError("the tick loop ran")
+
+    monkeypatch.setattr(cli.Simulation, "run_all", loop)
+    assert main(["run", "--config", tiny_config(), "--out", str(out), *flags]) == 1
+    assert "cannot write outputs" in capsys.readouterr().err
 
 
 def test_run_rejects_tick_that_does_not_fit_output_buckets(tiny_config, tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from metersim.behavior import (
     BECAME_EXPERIENCED,
     INFLUENCED,
+    INTERACTED,
     LEFT_HOME,
     RETURNED_HOME,
     SWITCHED_OFF,
@@ -237,6 +238,31 @@ def test_same_seed_reproduces_everything():
     assert np.array_equal(a.load_series, b.load_series)
     assert a.events == b.events
     assert a.adoption_series == b.adoption_series
+
+
+def test_event_sink_gets_each_tick_s_events_as_the_tick_ends():
+    """One sink call per tick with that tick's events, and nothing left
+    pending between ticks, so a run never holds more than a tick's events."""
+    doc = tiny_doc(population=16, degree=4, beta=0.3, horizon=2, rate=1.0, exp_frac=0.5, seed=8)
+    scenario = validate_scenario(doc)
+    batches = []
+    sim = Simulation(scenario, event_sink=batches.append)
+    total = scenario.config.horizon_days * scenario.config.ticks_per_day
+    for tick in range(total):
+        sim.tick()
+        assert len(batches) == tick + 1
+        assert sim.tick_events == []
+        assert {e.tick for e in batches[-1]} <= {tick}
+    output = sim.run_all()
+    assert output.events is None
+    recorded = run(scenario, record_events=True).events
+    assert [e for batch in batches for e in batch] == list(recorded)
+    assert {e.kind for e in recorded} >= {INFLUENCED, INTERACTED, SWITCHED_ON}
+
+
+def test_record_events_and_event_sink_are_exclusive():
+    with pytest.raises(ValueError, match="exclusive"):
+        Simulation(validate_scenario(tiny_doc()), record_events=True, event_sink=print)
 
 
 def test_different_seed_changes_the_run():
