@@ -5,6 +5,7 @@ Subcommands:
     compare        correlation and peak statistics for two load curve CSVs
     network-stats  contact network summary for a scenario
     validate       check a scenario file and list every violation
+    sweep          peak window reduction across initial experienced fractions
 
 Exit codes: 0 on success, 2 on validation or comparison input problems
 (violations printed one per line), 1 on I/O failure.
@@ -27,7 +28,7 @@ except ImportError:  # not on Windows
 
 from . import __version__
 from .domain import DEFAULT_PEAK_WINDOW, Scenario, ScenarioValidationError, TimeOfDay, load_scenario
-from .engine import STREAM_ANALYSIS, STREAM_NETWORK, Simulation, substream
+from .engine import STREAM_ANALYSIS, STREAM_NETWORK, Simulation, run, substream
 from .metrics import (
     DEFAULT_BUCKET_MINUTES,
     LengthMismatchError,
@@ -36,6 +37,7 @@ from .metrics import (
     peak_stats,
     pearson_correlation,
     read_load_curve,
+    window_mean,
     write_load_curve,
 )
 from .network import clustering_coefficient, generate_small_world, mean_path_length_sampled
@@ -56,12 +58,19 @@ def _parse_window_arg(text: str) -> tuple[TimeOfDay, TimeOfDay]:
     return window
 
 
-def _load_scenario_or_exit(args: argparse.Namespace) -> Scenario | int:
+def _parse_fractions_arg(text: str) -> list[float]:
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma separated numbers, got {text!r}") from exc
+
+
+def _load_scenario_or_exit(args: argparse.Namespace, fraction: float | None = None) -> Scenario | int:
     """The scenario named by --config, with the --seed and
-    --experienced-fraction overrides the subcommand has, or an exit code."""
+    --experienced-fraction (else fraction) overrides, or an exit code."""
     overrides = {
         "seed": getattr(args, "seed", None),
-        "initial_experienced_fraction": getattr(args, "experienced_fraction", None),
+        "initial_experienced_fraction": getattr(args, "experienced_fraction", fraction),
     }
     try:
         return load_scenario(args.config, overrides)
@@ -236,6 +245,44 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def cmd_sweep(args: argparse.Namespace) -> int:
+    # every fraction is validated before the first run
+    scenarios = []
+    for fraction in args.fractions:
+        scenario = _load_scenario_or_exit(args, fraction)
+        if isinstance(scenario, int):
+            return scenario
+        scenarios.append(scenario)
+
+    # same seed for every fraction: the runs stay draw aligned, so the
+    # differences are behavioural; the first fraction is the baseline
+    window = scenarios[0].config.peak_window
+    try:
+        curves = [aggregate_load(run(scenario)) for scenario in scenarios]
+        rows = [(fraction, window_mean(curve, window), peak_reduction(curves[0], curve, window))
+                for fraction, curve in zip(args.fractions, curves)]
+        out_dir = os.path.dirname(args.out)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("experienced_fraction", "peak_window_mean_watts", "peak_reduction"))
+            for fraction, peak_mean, reduction in rows:
+                writer.writerow((f"{fraction:.2f}", f"{peak_mean:.3f}", f"{reduction:.6f}"))
+    except ValueError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+    print(f"window {window[0]}-{window[1]}, seed {scenarios[0].config.seed}")
+    print("fraction  peak window mean (W)  reduction")
+    for fraction, peak_mean, reduction in rows:
+        print(f"{fraction:>8.2f}  {peak_mean:>20.0f}  {reduction:>9.2%}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metersim",
@@ -271,6 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="validate a scenario file")
     p_val.add_argument("--config", required=True, help="scenario JSON file")
     p_val.set_defaults(func=cmd_validate)
+
+    p_swp = sub.add_parser("sweep", help="peak window reduction across experienced fractions")
+    p_swp.add_argument("--config", required=True, help="scenario JSON file")
+    p_swp.add_argument(
+        "--fractions", required=True, type=_parse_fractions_arg,
+        help="comma separated initial_experienced_fraction values; the first is the baseline",
+    )
+    p_swp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_swp.add_argument("--out", required=True, help="output CSV file")
+    p_swp.set_defaults(func=cmd_sweep)
 
     return parser
 

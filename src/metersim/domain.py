@@ -240,7 +240,7 @@ ARCHETYPE_FIELDS = (
     FieldSpec("max_attainable_M", float, 0, 1, lo_open=True),
 )
 APPLIANCE_FIELDS = (
-    FieldSpec("power_watts", float, 0, lo_open=True),
+    FieldSpec("power_watts", float, 0, 1e6, lo_open=True),
     FieldSpec("mean_on_minutes", float, 0, lo_open=True, optional=True, nullable=True),
 )
 # each entry of these objects and lists, keyed by the field that holds them
@@ -472,16 +472,19 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
                     UNKNOWN_ARCHETYPE,
                     f"archetype_mix references unknown archetype '{arch_id}'",
                 )
-        # pre-seeding experienced agents is impossible when the learning
-        # curve asymptote never reaches the threshold
+        # pre-seeded agents start at the trial count that reaches the
+        # threshold, so there must be one
         if config.initial_experienced_fraction > 0:
+            from .learning import LearningParams, trials_to_threshold  # learning imports this module
             for arch in archetypes:
                 in_mix = any(a == arch.id and f > 0 for a, f in config.archetype_mix)
-                if in_mix and config.p_threshold >= arch.max_attainable_M:
+                params = LearningParams(arch.max_attainable_M, arch.learning_rate_k, config.p_threshold)
+                if in_mix and trials_to_threshold(params) is None:
                     errs.add(
                         BAD_VALUE,
                         f"archetype '{arch.id}' can never reach p_threshold "
-                        f"{config.p_threshold} (max_attainable_M {arch.max_attainable_M}), "
+                        f"{config.p_threshold} (max_attainable_M {arch.max_attainable_M}, "
+                        f"learning_rate_k {arch.learning_rate_k}), "
                         "so initial_experienced_fraction > 0 is unsatisfiable",
                     )
 

@@ -37,17 +37,23 @@ def adoption_probability(params: LearningParams, trials_t: int) -> float:
     return params.max_attainable_M * -math.expm1(-params.learning_rate_k * trials_t)
 
 
+# past 2**53 a float no longer tells one trial count from the next
+MAX_TRIALS = 2**53
+
+
 def trials_to_threshold(params: LearningParams) -> int | None:
     """Smallest t >= 1 with P(t) >= p_threshold, or None if unreachable.
 
     The asymptote M is never attained at finite t, so a threshold at or
-    above M can never be crossed.
+    above M can never be crossed; nor, in float terms, one past MAX_TRIALS.
     """
     if params.p_threshold >= params.max_attainable_M:
         return None
     # closed form, then nudge to the exact integer crossing in float terms
-    ratio = 1.0 - params.p_threshold / params.max_attainable_M
-    t = max(1, math.ceil(-math.log(ratio) / params.learning_rate_k))
+    estimate = -math.log1p(-params.p_threshold / params.max_attainable_M) / params.learning_rate_k
+    if estimate > MAX_TRIALS:
+        return None
+    t = max(1, math.ceil(estimate))
     while t > 1 and adoption_probability(params, t - 1) >= params.p_threshold:
         t -= 1
     while adoption_probability(params, t) < params.p_threshold:

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 import weakref
@@ -10,11 +9,13 @@ import pytest
 
 from metersim import cli
 from metersim.cli import main
-from metersim.domain import validate_scenario
+from metersim.domain import DEFAULT_PEAK_WINDOW, load_scenario, validate_scenario
 from metersim.engine import run
-from metersim.metrics import LoadCurve, read_load_curve, write_load_curve
+from metersim.metrics import (
+    LoadCurve, aggregate_load, peak_reduction, read_load_curve, window_mean, write_load_curve,
+)
 
-from conftest import child_env, tiny_doc
+from conftest import SAMPLE_PATH, child_env, tiny_doc
 from test_engine import micro_doc
 
 
@@ -403,23 +404,107 @@ def test_module_entry_point(tiny_config):
     assert result.stdout == "ok\n"
 
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
-
-
-@pytest.mark.parametrize("script, args, message", [
-    ("experienced_fraction_sweep.py", ["--fractions", "0.0,1.5"],
+@pytest.mark.parametrize("args, message", [
+    (["--fractions", "0.0,1.5"],
      "BadValue: scenario: initial_experienced_fraction must be a finite number in [0, 1], got 1.5"),
-    ("daily_load_curve.py", ["--seed", "-1"],
+    (["--fractions", "0.0,0.5", "--seed", "-1"],
      "BadValue: scenario: seed must be an integer"),
+], ids=["fraction-1.5", "seed--1"])
+def test_sweep_exits_2_on_a_bad_scenario(tiny_config, tmp_path, capsys, monkeypatch, args, message):
+    def refuse(scenario):
+        raise AssertionError("a fraction ran before every fraction was validated")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    out = tmp_path / "o" / "sweep.csv"
+    assert main(["sweep", "--config", tiny_config(), "--out", str(out), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_rejects_a_fraction_that_is_not_a_number(tiny_config, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--config", tiny_config(), "--fractions", "0.0,abc", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "argument --fractions: expected comma separated numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_reports_a_zero_base_instead_of_a_traceback(tmp_path, capsys):
+    doc = tiny_doc()
+    for appliance in doc["appliances"]:
+        appliance["usage_profile"] = [0.0] * 48
+    config = tmp_path / "dark.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--fractions", "0.0,0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "ZeroBaseError: base demand in the window is zero\n"
+    assert not out.exists()
+
+
+def test_sweep_rows_match_runs_at_each_fraction(tiny_config, tmp_path, capsys):
+    config = tiny_config(rate=0.5, horizon=3)
+    fractions = [0.0, 0.5, 1.0]
+    out = tmp_path / "sweep" / "rows.csv"
+    assert main(["sweep", "--config", config, "--fractions", "0.0,0.5,1.0", "--seed", "7",
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "window 17:00-20:00, seed 7"
+    assert len(lines) == 2 + len(fractions)
+
+    curves = [
+        aggregate_load(run(load_scenario(config, {"seed": 7, "initial_experienced_fraction": f})))
+        for f in fractions
+    ]
+    window = DEFAULT_PEAK_WINDOW
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["experienced_fraction", "peak_window_mean_watts", "peak_reduction"]
+    assert rows[1:] == [
+        [f"{f:.2f}", f"{window_mean(c, window):.3f}", f"{peak_reduction(curves[0], c, window):.6f}"]
+        for f, c in zip(fractions, curves)
+    ]
+    assert rows[1][2] == "0.000000" and float(rows[3][2]) != 0.0
+
+
+def _write_sample_variant(tmp_path, name, edit):
+    with open(SAMPLE_PATH, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _huge_appliances(doc):
+    # a tick's load summed to more than a float holds
+    doc["scenario"].update(population=3, network_mean_degree_K=2, horizon_days=1)
+    for appliance in doc["appliances"]:
+        appliance.update(power_watts=5e307, usage_profile=[1.0] * 48, mean_on_minutes=None)
+
+
+def _tiny_learning_rate(doc):
+    # the trial count that reaches p_threshold overflows a float
+    doc["scenario"].update(population=20, horizon_days=1, initial_experienced_fraction=0.5)
+    for archetype in doc["archetypes"]:
+        archetype["learning_rate_k"] = 1e-320
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_huge_appliances, "power_watts"),
+    (_tiny_learning_rate, "learning_rate_k"),
 ])
-def test_scripts_exit_2_on_a_bad_scenario(tiny_config, tmp_path, script, args, message):
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_overflowing_scenarios_are_refused_not_run(tmp_path, capsys, edit, field, command):
+    config = _write_sample_variant(tmp_path, "overflow.json", edit)
     out = tmp_path / "o"
-    result = subprocess.run(
-        [sys.executable, os.path.join(SCRIPTS, script),
-         "--config", tiny_config(), "--out", str(out), *args],
-        capture_output=True, text=True, env=child_env(),
-    )
-    assert result.returncode == 2
-    assert result.stderr.startswith(message)
-    assert "Traceback" not in result.stderr
+    args = ["--out", str(out), "--events"] if command == "run" else []
+    assert main([command, "--config", config, *args]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    bad = [line for line in lines if line.startswith("BadValue: ")]
+    assert bad and all(field in line for line in bad)
+    assert all(line.split(": ", 1)[0].isalpha() for line in lines)
     assert not out.exists()

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import os
+import re
+import sys
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metersim.cli import main
@@ -26,6 +32,7 @@ from metersim.domain import (
     load_scenario,
     validate_scenario,
 )
+from metersim.metrics import read_load_curve
 
 from conftest import tiny_doc
 
@@ -250,6 +257,71 @@ def test_field_table_accepts_closed_bounds(spec, place):
             doc = tiny_doc()
             place(doc, value)
             validate_scenario(doc)
+
+
+# population and horizon_days stay small so that each example runs in
+# milliseconds; their lower bounds are pushed like every other field's
+EDGE_OVERRIDES = {"population": (0, 1, 20), "horizon_days": (0, 1)}
+
+
+def _edge_values(spec):
+    """spec's bounds and the values just inside them, with a huge value
+    standing in for a missing upper bound."""
+    if spec.key in EDGE_OVERRIDES:
+        return EDGE_OVERRIDES[spec.key]
+
+    def inside(bound, direction):
+        if spec.kind is int:
+            return bound + direction
+        return math.nextafter(bound, direction * math.inf)
+
+    values = [spec.lo, inside(spec.lo, 1)]
+    if spec.hi is None:
+        values.append(2**64 if spec.kind is int else sys.float_info.max)
+    else:
+        values += [spec.hi, inside(spec.hi, -1)]
+    return values
+
+
+EDGE_PUSHES = [(spec.key, place, value) for spec, place in TABLE_PLACES for value in _edge_values(spec)]
+
+
+def _push(key, value):
+    return next((key, place, value) for spec, place in TABLE_PLACES if spec.key == key)
+
+
+@settings(max_examples=60, deadline=None)
+# the two overflows validate once let through: a tick's load past a
+# float, and a pre-seeded trial count past a float
+@example([_push("power_watts", sys.float_info.max)])
+@example([_push("learning_rate_k", math.nextafter(0, 1))])
+@given(st.lists(st.sampled_from(EDGE_PUSHES), max_size=4))
+def test_what_validate_accepts_runs_to_finite_curves(pushes):
+    """Every field at a bound, just inside it, or huge: validate either
+    accepts and run --events finishes with a finite, non-negative curve,
+    or both refuse with one violation per stderr line."""
+    # typical values that pre-seed experienced agents and let them chat
+    doc = tiny_doc(horizon=1, exp_frac=0.5, rate=0.5)
+    for _key, place, value in pushes:
+        place(doc, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "scenario.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        codes, err = [], io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            for command in (["validate"], ["run", "--events", "--out", out]):
+                codes.append(main([*command, "--config", config]))
+        if codes[0] == 0:
+            assert codes[1] == 0, err.getvalue()
+            values = read_load_curve(os.path.join(out, "loadcurve.csv")).values
+            assert all(math.isfinite(v) and v >= 0 for v in values)
+        else:
+            assert codes == [2, 2]
+            lines = err.getvalue().splitlines()
+            assert lines and all(re.fullmatch(r"[A-Za-z]+: \S.*", line) for line in lines)
+            assert not os.path.exists(out)
 
 
 def test_optional_fields_take_the_dataclass_defaults():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from metersim.domain import LearningState
 from metersim.learning import (
+    MAX_TRIALS,
     LearningParams,
     absorb_interaction,
     adoption_probability,
@@ -66,6 +67,22 @@ def test_trials_to_threshold_known_values(M, k, p_th, expected):
     params = LearningParams(M, k, p_th)
     assert trials_to_threshold(params) == expected
     assert brute_force_threshold(params, cap=10_000) == expected
+
+
+@pytest.mark.parametrize("M, k, p_th", [
+    (1.0, 1e-320, 0.85),  # the closed form overflows to infinity
+    (1.0, 1e-300, 0.85),  # finite, but far past what a float counts
+    (1.0, 5e-324, 1e-300),  # a tiny threshold over a tiny rate
+])
+def test_trials_to_threshold_is_none_past_what_a_float_counts(M, k, p_th):
+    assert trials_to_threshold(LearningParams(M, k, p_th)) is None
+
+
+def test_trials_to_threshold_finds_counts_up_to_the_float_limit():
+    params = LearningParams(1.0, 1e-15, 0.85)
+    t = trials_to_threshold(params)
+    assert t <= MAX_TRIALS
+    assert adoption_probability(params, t) >= 0.85 > adoption_probability(params, t - 1)
 
 
 def test_record_trial_increments_and_is_absorbing():
