@@ -300,10 +300,16 @@ def _build(cls: type, values: Mapping[str, Any]) -> Any:
     return None
 
 
+def _entry_id(obj: Mapping[str, Any]) -> str | None:
+    """A catalog entry's id, or None unless it is a non-empty string."""
+    entry_id = obj.get("id")
+    return entry_id if isinstance(entry_id, str) and entry_id else None
+
+
 def _read_id(obj: Mapping[str, Any], where: str, values: dict[str, Any], errs: _Collector) -> None:
     """Add a catalog entry's id, and its label (the id when absent), to values."""
-    entry_id = obj.get("id")
-    if isinstance(entry_id, str) and entry_id:
+    entry_id = _entry_id(obj)
+    if entry_id is not None:
         values["id"] = entry_id
         values["label"] = str(obj.get("label", entry_id))
     else:
@@ -437,6 +443,9 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
         errs.add(BAD_VALUE, "scenario: must be an object")
 
     parsed: dict[str, list[Any]] = {"appliances": [], "archetypes": []}
+    # ids come from every entry with a valid id, also those refused for
+    # another field, so one bad field does not make references unknown
+    ids: dict[str, set[str]] = {"appliances": set(), "archetypes": set()}
     seen: set[str] = set()  # duplicate ids make cross references ambiguous
     for section, parse in (("appliances", _parse_appliance), ("archetypes", _parse_archetype)):
         entries = raw.get(section)
@@ -447,15 +456,16 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
             where = f"{section}[{i}]"
             if not isinstance(obj, Mapping):
                 errs.add(BAD_VALUE, f"{where}: must be an object")
-            elif (spec := parse(obj, where, errs)) is not None:
-                if spec.id in seen:
-                    errs.add(BAD_VALUE, f"duplicate {section[:-1]} id '{spec.id}'")
-                seen.add(spec.id)
+                continue
+            if (spec := parse(obj, where, errs)) is not None:
                 parsed[section].append(spec)
+            if (entry_id := _entry_id(obj)) is not None:
+                if entry_id in seen:
+                    errs.add(BAD_VALUE, f"duplicate {section[:-1]} id '{entry_id}'")
+                seen.add(entry_id)
+                ids[section].add(entry_id)
     appliances, archetypes = parsed["appliances"], parsed["archetypes"]
-
-    appliance_ids = {a.id for a in appliances}
-    archetype_ids = {a.id for a in archetypes}
+    appliance_ids, archetype_ids = ids["appliances"], ids["archetypes"]
 
     for arch in archetypes:
         for app_id, _count in arch.appliances:

@@ -9,7 +9,6 @@ leaves a node alone once it is connected to everyone else.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,65 +100,60 @@ def clustering_coefficient(net: Network) -> float:
 def mean_path_length_sampled(
     net: Network, rng: np.random.Generator, max_pairs: int = 1000,
 ) -> float:
-    """Mean shortest path length, exact over all pairs when the graph has
-    at most max_pairs of them, estimated from max_pairs sampled pairs
-    otherwise.
+    """Mean shortest path length over node pairs.
 
-    Unreachable pairs are skipped; returns nan when nothing was reachable.
+    Exact over all pairs when the graph has at most max_pairs of them;
+    otherwise estimated from max_pairs pairs drawn from rng.  Each pair is
+    one bidirectional BFS.  Unreachable pairs are skipped; returns nan
+    when no pair is reachable.
     """
     n = net.node_count
     if n < 2:
         return float("nan")
 
+    if n * (n - 1) // 2 <= max_pairs:
+        pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    else:
+        sources = rng.integers(0, n, size=max_pairs)
+        targets = rng.integers(0, n - 1, size=max_pairs)
+        # shift to avoid self pairs
+        targets = np.where(targets >= sources, targets + 1, targets)
+        pairs = zip(sources.tolist(), targets.tolist())
+
     total = 0.0
     counted = 0
-    if n * (n - 1) // 2 <= max_pairs:
-        for s in range(n):
-            dist = _bfs_distances(net, s)
-            for t in range(s + 1, n):
-                if dist[t] >= 0:
-                    total += dist[t]
-                    counted += 1
-        return total / counted if counted else float("nan")
-
-    sources = rng.integers(0, n, size=max_pairs)
-    targets = rng.integers(0, n - 1, size=max_pairs)
-    # shift to avoid self pairs
-    targets = np.where(targets >= sources, targets + 1, targets)
-
-    by_source: dict[int, list[int]] = {}
-    for s, t in zip(sources.tolist(), targets.tolist()):
-        by_source.setdefault(s, []).append(t)
-
-    for s, ts in by_source.items():
-        dist = _bfs_distances(net, s, set(ts))
-        for t in ts:
-            if dist[t] >= 0:
-                total += dist[t]
-                counted += 1
+    for s, t in pairs:
+        d = _pair_distance(net.adjacency, s, t)
+        if d >= 0:
+            total += d
+            counted += 1
     return total / counted if counted else float("nan")
 
 
-def _bfs_distances(net: Network, source: int, targets: set[int] | None = None) -> list[int]:
-    """Hop counts from source, -1 where unreached.
+def _pair_distance(adjacency: tuple[tuple[int, ...], ...], s: int, t: int) -> int:
+    """Hop count from s to t (s != t), -1 when t is unreachable.
 
-    With targets the search stops as soon as every target has its
-    distance; other nodes may then be left at -1.
+    Bidirectional BFS: each step expands the smaller frontier by one whole
+    level.  With the s side at depth a and the t side at depth b and no
+    meeting yet, the distance is at least a + b + 1, so the first node the
+    expansion finds already reached from the other side gives it exactly.
     """
-    dist = [-1] * net.node_count
-    dist[source] = 0
-    pending = None if targets is None else len(targets)
-    queue = deque([source])
-    adjacency = net.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(v)
-                if pending is not None and v in targets:
-                    pending -= 1
-                    if pending == 0:
-                        return dist
-    return dist
+    near, far = {s: 0}, {t: 0}
+    near_front, far_front = [s], [t]
+    near_depth = far_depth = 0
+    while near_front and far_front:
+        if len(near_front) > len(far_front):
+            near, far = far, near
+            near_front, far_front = far_front, near_front
+            near_depth, far_depth = far_depth, near_depth
+        near_depth += 1
+        grown = []
+        for u in near_front:
+            for v in adjacency[u]:
+                if v not in near:
+                    if v in far:
+                        return near_depth + far[v]
+                    near[v] = near_depth
+                    grown.append(v)
+        near_front = grown
+    return -1

@@ -103,6 +103,53 @@ def test_unknown_appliance_in_bundle():
     assert UNKNOWN_APPLIANCE in codes_of(excinfo)
 
 
+def test_refused_entries_still_define_their_ids(sample_path, tmp_path, capsys):
+    # every appliance is refused for its power, yet each id exists: only
+    # the BadValue lines, no UnknownAppliance for the archetypes' bundles
+    with open(sample_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for appliance in doc["appliances"]:
+        appliance["power_watts"] = 5e307
+    path = tmp_path / "huge_power.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 7
+    assert all(line.startswith(f"{BAD_VALUE}: appliances[") for line in lines)
+
+
+def test_unknown_ids_reported_beside_refused_entries():
+    doc = tiny_doc()
+    doc["appliances"][0]["power_watts"] = -1
+    doc["archetypes"][0]["awareness"] = 7
+    doc["archetypes"][0]["appliances"]["flux_capacitor"] = 1
+    doc["scenario"]["archetype_mix"] = {"resident": 0.5, "ghost": 0.5}
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        validate_scenario(doc)
+    messages = [issue.message for issue in excinfo.value.issues]
+    assert [m for m in messages if "unknown" in m] == [
+        "archetype_mix references unknown archetype 'ghost'",
+    ]
+    doc["archetypes"][0]["awareness"] = 1.0
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        validate_scenario(doc)
+    messages = [issue.message for issue in excinfo.value.issues]
+    assert [m for m in messages if "unknown" in m] == [
+        "archetype 'resident' references unknown appliance 'flux_capacitor'",
+        "archetype_mix references unknown archetype 'ghost'",
+    ]
+
+
+def test_duplicate_id_of_a_refused_entry():
+    doc = tiny_doc()
+    doc["appliances"][1]["id"] = "heater"
+    doc["appliances"][1]["power_watts"] = -1
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        validate_scenario(doc)
+    messages = [issue.message for issue in excinfo.value.issues]
+    assert "duplicate appliance id 'heater'" in messages
+
+
 def test_bad_window_reversed():
     doc = tiny_doc()
     doc["archetypes"][0]["leave_window"] = ["11:00", "10:00"]

@@ -1,10 +1,12 @@
-"""Golden output hashes for the sample scenario.
+"""Golden outputs for the sample scenario.
 
 `metersim run --events` on the sample, cut to a one-day horizon, at seeds
 42-46 and experienced fractions 0.0 and 0.9.  Seed and fraction go through
 the CLI overrides, so a change to the engine, the validator or the
-override path that moves a single output byte fails here.  A change that
-means to alter outputs must say so and record the new hashes.
+override path that moves a single output byte fails here.  `metersim
+network-stats` on the sample at seeds 42-46 and at 5 000 households holds
+the network summary, path length included, to its printed line.  A change
+that means to alter outputs must say so and record the new values.
 """
 
 import hashlib
@@ -89,3 +91,31 @@ def test_golden_output_hashes(one_day_sample, tmp_path, capsys, seed, fraction):
     assert code == 0, capsys.readouterr().err
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS)
     assert digests == GOLDEN[(seed, fraction)]
+
+
+NETWORK_HEADER = "nodes,edges,mean_degree,clustering_coefficient,mean_path_length"
+
+# (seed, population or None for the sample's) -> network-stats data line
+GOLDEN_NETWORK = {
+    (42, None): "1000,2000,4.000000,0.371433,8.732000",
+    (43, None): "1000,2000,4.000000,0.370119,8.617000",
+    (44, None): "1000,2000,4.000000,0.377033,9.069000",
+    (45, None): "1000,2000,4.000000,0.372333,8.792000",
+    (46, None): "1000,2000,4.000000,0.363410,8.520000",
+    (42, 5000): "5000,10000,4.000000,0.377855,11.566000",
+}
+
+
+@pytest.mark.parametrize("seed, population", list(GOLDEN_NETWORK))
+def test_golden_network_stats(sample_path, tmp_path, capsys, seed, population):
+    config = sample_path
+    if population is not None:
+        with open(sample_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["scenario"]["population"] = population
+        config = tmp_path / "sample.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["network-stats", "--config", str(config), "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == f"{NETWORK_HEADER}\n{GOLDEN_NETWORK[(seed, population)]}\n"

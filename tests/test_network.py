@@ -112,6 +112,52 @@ def test_mean_path_length_sampled_branch():
     assert value == pytest.approx(225 / 29, abs=1.5)
 
 
+def all_pairs_mean(net):
+    """Mean over reachable pairs s < t, one complete BFS per source."""
+    total, counted = 0.0, 0
+    for s in range(net.node_count):
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in net.adjacency[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for t, d in dist.items():
+            if t > s:
+                total += d
+                counted += 1
+    return total / counted if counted else float("nan")
+
+
+def test_exact_path_length_skips_unreachable_pairs():
+    # two triangles: the 6 pairs inside them are at distance 1, the other
+    # 9 are unreachable
+    net = Network(node_count=6, adjacency=((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)))
+    assert mean_path_length_sampled(net, rng(1)) == 1.0
+
+
+def test_exact_path_length_nan_without_reachable_pairs():
+    net = Network(node_count=2, adjacency=((), ()))
+    assert math.isnan(mean_path_length_sampled(net, rng(1)))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_path_length_nan_below_two_nodes(n):
+    net = Network(node_count=n, adjacency=((),) * n)
+    assert math.isnan(mean_path_length_sampled(net, rng(1)))
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (12, 4), (30, 2), (45, 4), (45, 6)])
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+def test_exact_path_length_equals_all_pairs_search(n, k, beta):
+    assert n * (n - 1) // 2 <= 1000  # the exact branch
+    for seed in (1, 2, 3):
+        net = generate_small_world(n, k, beta, rng(seed))
+        assert mean_path_length_sampled(net, rng(seed)) == all_pairs_mean(net)
+
+
 def full_bfs_mean(net, gen, max_pairs):
     """mean_path_length_sampled's estimate with a complete BFS per source."""
     n = net.node_count
