@@ -2,12 +2,12 @@
 
 All randomness comes in as uniforms in [0, 1) at fixed positions, so agent
 streams stay aligned between scenario variants run at the same seed.  A
-tick's draws hold slots+2 columns per agent:
+group's tick draws hold one column per agent and slots+2 rows:
 
     sample_daily_times   its two arguments (the day's first two draws)
-    switch_mask          columns 0..slots-1, one per owned appliance instance
-    chat_coins           column slots (the chat coin)
-    maybe_interact       row[slots+1] (the partner pick)
+    switch_mask          rows 0..slots-1, one per owned appliance instance
+    chat_coins           row slots (the chat coin)
+    maybe_interact       row[slots+1] of the agent's column (the partner pick)
 
 Each rule is decided once, for a whole archetype group, by a numpy mask:
 presence_mask says who is home, switch_mask which slots switch and
@@ -173,14 +173,14 @@ def switch_mask(
 ) -> None:
     """Mark in out the appliance slots that switch this tick.
 
-    u holds the tick's draws of a group, one row per agent, and slot j
-    reads column j.  on, out and the two spare arrays are slot-major
-    (slots x agents).  An off slot switches on when its draw is below the
-    bucket's propensity, an on slot switches off when its draw is below
+    u holds the tick's draws of a group, one column per agent, and slot j
+    reads row j.  on, out and the two spare arrays are slot-major
+    (slots x agents) too.  An off slot switches on when its draw is below
+    the bucket's propensity, an on slot switches off when its draw is below
     its base off rate.  Experienced agents inside the peak window use the
     suppressed tables.  Agents that are out switch nothing.
     """
-    u = u[:, :rt.n_slots].T
+    u = u[:rt.n_slots]
     _switches(u, rt.on_normal[bucket], rt.off_normal, on, out, spare[0])
     if in_peak:
         _switches(u, rt.on_suppressed[bucket], rt.off_suppressed, on, spare[0], spare[1])
@@ -209,9 +209,9 @@ def chat_coins(
     """Mark in out the agents whose chat coin lands this tick.
 
     An influenced at-home agent chats with probability p_interact; its coin
-    is column slots of the tick's draws u.
+    is row slots of the tick's draws u, one column per agent.
     """
-    np.less(u[:, rt.n_slots], rt.p_interact, out=out)
+    np.less(u[rt.n_slots], rt.p_interact, out=out)
     out &= home
     out &= influenced
 

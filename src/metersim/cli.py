@@ -27,6 +27,7 @@ except ImportError:  # not on Windows
     resource = None
 
 from . import __version__
+from .behavior import AgentEvent
 from .domain import DEFAULT_PEAK_WINDOW, Scenario, ScenarioValidationError, TimeOfDay, load_scenario
 from .engine import STREAM_ANALYSIS, STREAM_NETWORK, Simulation, run, substream
 from .metrics import (
@@ -45,6 +46,17 @@ from .network import clustering_coefficient, generate_small_world, mean_path_len
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID = 2
+
+
+def event_rows(events: list[AgentEvent]) -> str:
+    """The events as lines of events.csv.
+
+    No field needs quoting: ticks and agent ids are ints, kinds are
+    constants, and a detail is a peer id or "<appliance id>#<n>", where the
+    validator refuses an id holding a comma, a double quote, CR or LF.  So
+    each line is the one csv.writer would write.
+    """
+    return "".join(map("%d,%d,%s,%s\n".__mod__, events))
 
 
 def _parse_window_arg(text: str) -> tuple[TimeOfDay, TimeOfDay]:
@@ -115,13 +127,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    events_rows = 0
+
+    def write_events(events: list[AgentEvent]) -> None:
+        nonlocal events_rows
+        events_rows += len(events)
+        events_file.write(event_rows(events))
+
     try:
         with events_file or contextlib.nullcontext():
             sink = None
             if events_file is not None:
-                writer = csv.writer(events_file, lineterminator="\n")
-                writer.writerow(("tick", "agent_id", "kind", "detail"))
-                sink = writer.writerows
+                events_file.write("tick,agent_id,kind,detail\n")
+                sink = write_events
             sim = Simulation(scenario, event_sink=sink)
             built = time.monotonic()
             output = sim.run_all()
@@ -165,6 +183,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             "tick_seconds": round(ran - built, 3),
             "duration_seconds": round(time.monotonic() - started, 3),
         }
+        if ran > built:
+            config = scenario.config
+            agent_ticks = config.population * config.horizon_days * config.ticks_per_day
+            manifest["agent_ticks_per_s"] = round(agent_ticks / (ran - built))
+        if args.events:
+            manifest["events_rows"] = events_rows
         peak_rss_mb = _peak_rss_mb()
         if peak_rss_mb is not None:
             manifest["peak_rss_mb"] = peak_rss_mb

@@ -30,6 +30,9 @@ BAD_VALUE = "BadValue"
 BAD_BUCKET = "BadBucket"
 
 MIX_TOLERANCE = 1e-9
+# characters an appliance or archetype id may not hold: events.csv names
+# appliance ids unquoted
+ID_FORBIDDEN = frozenset(',"\r\n')
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,13 +310,20 @@ def _entry_id(obj: Mapping[str, Any]) -> str | None:
 
 
 def _read_id(obj: Mapping[str, Any], where: str, values: dict[str, Any], errs: _Collector) -> None:
-    """Add a catalog entry's id, and its label (the id when absent), to values."""
+    """Add a catalog entry's id, and its label (the id when absent), to values.
+
+    An id holding a character of ID_FORBIDDEN is refused, so an event that
+    names it is a csv row no field of which needs quoting.
+    """
     entry_id = _entry_id(obj)
-    if entry_id is not None:
+    if entry_id is None:
+        errs.add(BAD_VALUE, f"{where}: field 'id' must be a non-empty string")
+    elif not ID_FORBIDDEN.isdisjoint(entry_id):
+        errs.add(BAD_VALUE, f"{where}: id {entry_id!r} must not contain a comma, "
+                            "a double quote, CR or LF")
+    else:
         values["id"] = entry_id
         values["label"] = str(obj.get("label", entry_id))
-    else:
-        errs.add(BAD_VALUE, f"{where}: field 'id' must be a non-empty string")
 
 
 def _parse_window(
@@ -446,7 +456,6 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     # ids come from every entry with a valid id, also those refused for
     # another field, so one bad field does not make references unknown
     ids: dict[str, set[str]] = {"appliances": set(), "archetypes": set()}
-    seen: set[str] = set()  # duplicate ids make cross references ambiguous
     for section, parse in (("appliances", _parse_appliance), ("archetypes", _parse_archetype)):
         entries = raw.get(section)
         if not isinstance(entries, list):
@@ -459,10 +468,11 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
                 continue
             if (spec := parse(obj, where, errs)) is not None:
                 parsed[section].append(spec)
+            # a duplicate within a section makes references to it
+            # ambiguous; the sections' ids are never confused
             if (entry_id := _entry_id(obj)) is not None:
-                if entry_id in seen:
+                if entry_id in ids[section]:
                     errs.add(BAD_VALUE, f"duplicate {section[:-1]} id '{entry_id}'")
-                seen.add(entry_id)
                 ids[section].add(entry_id)
     appliances, archetypes = parsed["appliances"], parsed["archetypes"]
     appliance_ids, archetype_ids = ids["appliances"], ids["archetypes"]

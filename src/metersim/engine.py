@@ -22,7 +22,9 @@ archetype group's float64 matrix (agents of one mix entry have contiguous
 ids and share a matrix): the day's first fill takes the two times and the
 first chunk, and each later chunk is drawn into the same columns when the
 day reaches it.  Successive fills continue the stream, so every draw is the
-one the whole block would hold at that position.
+one the whole block would hold at that position.  Each tick copies its
+columns of the rows into the group's tick draws, one column per agent, so
+the masks read each slot's draws as one contiguous row.
 
 A tick advances the clock by tick_minutes.  On the first tick of each day
 the engine does the day bookkeeping per agent (the day's first fill, leave
@@ -226,9 +228,10 @@ class _Group:
     k-th agent, drawn from that agent's generator gens[k]: columns 0 and 1
     are the day's two times and column 2 + c*(slots+2) starts the draws of
     the chunk's tick c.  A chunk is chunk ticks long, the day's last one
-    possibly shorter.  tick_draws receives the current tick's columns.  on_count counts the group's agents that
-    have each appliance slot on.  The arrays below run over the group's
-    agents in id order and mirror their state:
+    possibly shorter.  tick_draws receives the current tick's draws with
+    one column per agent (slots+2 rows, as behavior reads them).  on_count
+    counts the group's agents that have each appliance slot on.  The arrays
+    below run over the group's agents in id order and mirror their state:
 
         leave_at, return_at   today's leave and return minute
         home                  AgentState.at_home
@@ -256,7 +259,7 @@ class _Group:
         self.chunk = chunk_ticks(ticks_per_day, slots + 2)
         self.ticks_per_day = ticks_per_day
         self.draws = np.empty((count, 2 + self.chunk * (slots + 2)))
-        self.tick_draws = np.empty((count, slots + 2))
+        self.tick_draws = np.empty((slots + 2, count))
         self.on_count = [0] * slots
         self.home = np.ones(count, dtype=bool)
         self.on = np.zeros((slots, count), dtype=bool)
@@ -302,7 +305,7 @@ class _Group:
             self.refill(min(self.chunk, self.ticks_per_day - tick_in_day))
         off = 2 + chunk_tick * stride
         u = self.tick_draws
-        np.copyto(u, self.draws[:, off:off + stride])
+        np.copyto(u, self.draws[:, off:off + stride].T)
         presence_mask(self.leave_at, self.return_at, now, self.home, self.flip, self.spare)
         switch_mask(rt, bucket, in_peak, u, self.on, self.home, self.experienced,
                     self.switch, self.spare_slots)
@@ -339,8 +342,8 @@ class Simulation:
     call, in the order they happened (an empty list for a quiet tick); the
     list is the sink's to keep.  With record_events the sink is the run's
     own list, which becomes SimOutput.events; event_sink names another sink,
-    such as a csv writer's writerows, and leaves SimOutput.events None.
-    With neither, no events are made.
+    such as one that writes the rows to a file, and leaves SimOutput.events
+    None.  With neither, no events are made.
     """
 
     def __init__(self, scenario: Scenario, *, record_events: bool = False,
@@ -468,7 +471,7 @@ class Simulation:
                 if coin:
                     before = agent.learning
                     maybe_interact(agent, adjacency[agent.agent_id], snapshot, rt,
-                                   tick_draws[k].tolist(), tick_index, events)
+                                   tick_draws[:, k].tolist(), tick_index, events)
                     if agent.learning is not before:
                         learned.append(agent)
                         experienced[k] = agent.learning.experienced

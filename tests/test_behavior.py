@@ -46,8 +46,9 @@ class ReadLog(list):
             yield self[i]
 
 
-class ColumnLog(np.ndarray):
-    """A group's tick draws that remember which columns were read."""
+class RowLog(np.ndarray):
+    """A group's tick draws, one column per agent, that remember which rows
+    were read."""
 
     def __new__(cls, rows):
         log = np.asarray(rows, dtype=np.float64).view(cls)
@@ -59,10 +60,15 @@ class ColumnLog(np.ndarray):
 
     def __getitem__(self, key):
         if self.read is not None:
-            cols = key[1] if isinstance(key, tuple) else slice(None)
-            picked = range(self.shape[1])[cols]
+            rows = key[0] if isinstance(key, tuple) else key
+            picked = range(self.shape[0])[rows]
             self.read.update([picked] if isinstance(picked, int) else picked)
         return super().__getitem__(key)
+
+
+def column(row):
+    """A group of one's tick draws: the agent's row as its one column."""
+    return np.array(row, dtype=np.float64)[:, None]
 
 
 def masks_of_one(agent, rt):
@@ -77,7 +83,8 @@ def masks_of_one(agent, rt):
 
 
 def switch_row(agent, bucket, in_peak, rt, draws):
-    """The agent's row of switch_mask over a group of one."""
+    """The agent's row of switch_mask over a group of one, whose tick
+    draws are the one column draws."""
     on, home, _, experienced = masks_of_one(agent, rt)
     out = np.zeros_like(on)
     switch_mask(rt, bucket, in_peak, draws, on, home, experienced, out,
@@ -88,13 +95,14 @@ def switch_row(agent, bucket, in_peak, rt, draws):
 def switch_round(agent, bucket, in_peak, rt, row, on_count, tick, events):
     """One switching round for one agent, as the engine runs it: the group
     mask decides, appliance_tick applies the agent's row."""
-    switches = switch_row(agent, bucket, in_peak, rt, np.array([row], dtype=np.float64))
+    switches = switch_row(agent, bucket, in_peak, rt, column(row))
     slots = [j for j, switch in enumerate(switches) if switch]
     appliance_tick(agent, rt, slots, on_count, tick, events)
 
 
 def coin_lands(agent, rt, draws):
-    """chat_coins over a group of one."""
+    """chat_coins over a group of one, whose tick draws are the one
+    column draws."""
     _, home, influenced, _ = masks_of_one(agent, rt)
     out = np.zeros(1, dtype=bool)
     chat_coins(rt, draws, home, influenced, out)
@@ -103,7 +111,7 @@ def coin_lands(agent, rt, draws):
 
 def chat_round(agent, neighbor_ids, snapshot, rt, row, tick, events):
     """One chat round for one agent: maybe_interact runs if its coin lands."""
-    if coin_lands(agent, rt, np.array([row], dtype=np.float64)):
+    if coin_lands(agent, rt, column(row)):
         maybe_interact(agent, neighbor_ids, snapshot, rt, row, tick, events)
 
 
@@ -318,15 +326,15 @@ def test_maybe_interact_exchange_and_daily_cap():
 
 
 def test_each_operation_reads_only_its_row_positions():
-    """The row layout is fixed: switching reads columns 0..slots-1, the
-    chat coin column slots and a chat the pick at slots+1, whatever
-    happens."""
+    """The draw layout is fixed: switching reads rows 0..slots-1 of the
+    group's tick draws, the chat coin row slots and a chat the pick at
+    slots+1 of the agent's column, whatever happens."""
     rt, _ = build_runtime(rate=0.5, tick=30)
     slots = set(range(rt.n_slots))
     for on in ([False, False], [True, True], [True, False]):
         for u in (0.0, 0.4, 0.999):
             agent = make_agent(learning=LearningState(30, True), on=on)
-            draws = ColumnLog([[u, u, 0.0, 0.0]])
+            draws = RowLog(column([u, u, 0.0, 0.0]))
             switch_row(agent, 35, True, rt, draws)
             assert draws.read == slots
 
@@ -337,7 +345,7 @@ def test_each_operation_reads_only_its_row_positions():
         (0.49, [None, donor]),   # chat with a bonus trial
     ]:
         agent = make_agent(learning=LearningState(2, False))
-        draws = ColumnLog([[0.0, 0.0, coin, 0.2]])
+        draws = RowLog(column([0.0, 0.0, coin, 0.2]))
         landed = coin_lands(agent, rt, draws)
         assert draws.read == {rt.n_slots}
         assert landed == (coin < 0.5)
@@ -368,7 +376,7 @@ def test_masks_match_a_scalar_reading_of_the_rules():
     rt, _ = build_runtime(rate=0.5, tick=30)
     rng = np.random.default_rng(3)
     n = 400
-    u = rng.random((n, rt.n_slots + 2))
+    u = rng.random((rt.n_slots + 2, n))
     on = rng.random((rt.n_slots, n)) < 0.5
     home = rng.random(n) < 0.7
     influenced = rng.random(n) < 0.6
@@ -385,8 +393,8 @@ def test_masks_match_a_scalar_reading_of_the_rules():
             p_off = (rt.off_suppressed if suppressed else rt.off_normal).tolist()
             for j in range(rt.n_slots):
                 p = p_off[j] if on[j, k] else p_on[j]
-                assert switch[j, k] == (bool(home[k]) and float(u[k, j]) < p)
-            assert coin[k] == (bool(home[k] and influenced[k]) and float(u[k, 2]) < rt.p_interact)
+                assert switch[j, k] == (bool(home[k]) and float(u[j, k]) < p)
+            assert coin[k] == (bool(home[k] and influenced[k]) and float(u[2, k]) < rt.p_interact)
 
 
 def test_maybe_interact_no_influenced_neighbor():
@@ -419,10 +427,10 @@ def test_interaction_rate_matches_awareness_times_base_rate():
     agent.bonus_trial_today = True  # freeze state so only the coin matters
     events = []
     n = 200_000
-    draws = gen.random((n, rt.n_slots + 2))
+    draws = gen.random((rt.n_slots + 2, n))
     coin = np.zeros(n, dtype=bool)
     chat_coins(rt, draws, np.ones(n, dtype=bool), np.ones(n, dtype=bool), coin)
-    rows = draws.tolist()
+    rows = draws.T.tolist()
     for t in np.flatnonzero(coin).tolist():
         maybe_interact(agent, (1,), snapshot, rt, rows[t], t, events)
     assert len(events) / n == pytest.approx(0.01, abs=1e-3)

@@ -6,8 +6,14 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metersim import cli
+from metersim.behavior import (
+    BECAME_EXPERIENCED, INFLUENCED, INTERACTED, LEFT_HOME, RETURNED_HOME, SWITCHED_OFF,
+    SWITCHED_ON, AgentEvent,
+)
 from metersim.cli import main
 from metersim.domain import DEFAULT_PEAK_WINDOW, load_scenario, validate_scenario
 from metersim.engine import run
@@ -74,11 +80,13 @@ def test_run_writes_outputs_and_manifest(tiny_config, tmp_path, capsys):
     keys = {
         "scenario_path", "seed", "out_dir", "files",
         "engine_version", "setup_seconds", "tick_seconds", "duration_seconds",
+        "agent_ticks_per_s",
     }
     if cli.resource is not None:
         keys.add("peak_rss_mb")
         assert manifest["peak_rss_mb"] > 0
     assert set(manifest) == keys
+    assert isinstance(manifest["agent_ticks_per_s"], int) and manifest["agent_ticks_per_s"] > 0
     assert manifest["setup_seconds"] >= 0 and manifest["tick_seconds"] >= 0
     # three fields rounded to the millisecond on their own
     timed = manifest["setup_seconds"] + manifest["tick_seconds"]
@@ -102,6 +110,16 @@ def test_manifest_leaves_peak_rss_out_where_the_platform_has_no_resource(
     out = tmp_path / "out"
     assert main(["run", "--config", tiny_config(), "--out", str(out)]) == 0
     assert "peak_rss_mb" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_manifest_leaves_agent_ticks_per_s_out_when_the_loop_took_no_time(
+        tiny_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "time", type("Frozen", (), {"monotonic": staticmethod(lambda: 5.0)}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", tiny_config(), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tick_seconds"] == 0
+    assert "agent_ticks_per_s" not in manifest
 
 
 def test_run_frees_the_simulation_before_writing(tiny_config, tmp_path, monkeypatch):
@@ -135,6 +153,86 @@ def test_run_events_flag_adds_event_log(tiny_config, tmp_path):
     assert len(lines) > 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == ["loadcurve.csv", "adoption.csv", "events.csv"]
+    assert manifest["events_rows"] == len(lines) - 1
+
+    # without --events there is no row count, not a count of 0
+    out = tmp_path / "quiet"
+    assert main(["run", "--config", tiny_config(), "--out", str(out)]) == 0
+    assert "events_rows" not in json.loads((out / "manifest.json").read_text())
+
+
+# the characters an id may hold: any but the four the validator refuses
+allowed_ids = st.text(st.characters(blacklist_characters=',"\r\n'), min_size=1)
+
+
+@st.composite
+def events_of_every_kind(draw):
+    tick, agent_id = draw(st.integers(0, 10**9)), draw(st.integers(0, 10**9))
+    kind = draw(st.sampled_from([LEFT_HOME, RETURNED_HOME, INFLUENCED, BECAME_EXPERIENCED,
+                                 SWITCHED_ON, SWITCHED_OFF, INTERACTED]))
+    if kind in (SWITCHED_ON, SWITCHED_OFF):
+        detail = f"{draw(allowed_ids)}#{draw(st.integers(0, 99))}"
+    elif kind == INTERACTED:
+        detail = str(draw(st.integers(0, 10**9)))
+    else:
+        detail = ""
+    return AgentEvent(tick, agent_id, kind, detail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(events_of_every_kind(), max_size=5))
+def test_event_rows_are_the_rows_csv_writer_writes(events):
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(events)
+    assert cli.event_rows(events) == expected.getvalue()
+
+
+def rename_appliance(doc, old, new):
+    """doc with appliance id old renamed new, in the catalog and the bundle."""
+    for appliance in doc["appliances"]:
+        if appliance["id"] == old:
+            appliance["id"] = new
+    bundle = doc["archetypes"][0]["appliances"]
+    doc["archetypes"][0]["appliances"] = {new if a == old else a: n for a, n in bundle.items()}
+    return doc
+
+
+def test_run_with_an_odd_but_allowed_id_writes_events_csv_reads_back(tmp_path):
+    odd = " h\u00e9at;er \u2603 "
+    doc = rename_appliance(tiny_doc(), "heater", odd)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--events"]) == 0
+
+    with open(out / "events.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    events = run(validate_scenario(doc), record_events=True).events
+    assert rows[0] == ["tick", "agent_id", "kind", "detail"]
+    assert rows[1:] == [[str(e.tick), str(e.agent_id), e.kind, e.detail] for e in events]
+    assert any(row[3].startswith(odd + "#") for row in rows[1:])
+
+
+@pytest.mark.parametrize("section", ["appliances", "archetypes"])
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+def test_an_id_with_a_csv_special_character_is_refused(tmp_path, capsys, section, char):
+    doc = tiny_doc()
+    if section == "appliances":
+        rename_appliance(doc, "heater", f"he{char}ater")
+    else:
+        doc["archetypes"][0]["id"] = f"resi{char}dent"
+        doc["scenario"]["archetype_mix"] = {f"resi{char}dent": 1.0}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    # one line for the id, and no reference to it is reported unknown
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"BadValue: {section}[")
+
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--events"]) == 2
+    assert capsys.readouterr().err.splitlines() == lines
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [

@@ -150,6 +150,27 @@ def test_duplicate_id_of_a_refused_entry():
     assert "duplicate appliance id 'heater'" in messages
 
 
+def test_an_archetype_may_share_an_appliance_id():
+    # bundles name only appliance ids and the mix only archetype ids, so
+    # the two catalogs' ids cannot be confused
+    doc = tiny_doc(mix={"heater": 1.0})
+    doc["archetypes"][0]["id"] = "heater"
+    scenario = validate_scenario(doc)
+    assert [a.id for a in scenario.archetypes] == ["heater"]
+    assert [a.id for a in scenario.appliances] == ["heater", "shifter"]
+
+
+@pytest.mark.parametrize("section", ["appliances", "archetypes"])
+def test_a_duplicate_id_within_one_section_is_refused(section):
+    doc = tiny_doc()
+    doc[section].append(dict(doc[section][0]))
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        validate_scenario(doc)
+    issues = [(issue.code, issue.message) for issue in excinfo.value.issues]
+    entry_id = doc[section][0]["id"]
+    assert issues == [(BAD_VALUE, f"duplicate {section[:-1]} id '{entry_id}'")]
+
+
 def test_bad_window_reversed():
     doc = tiny_doc()
     doc["archetypes"][0]["leave_window"] = ["11:00", "10:00"]

@@ -422,9 +422,10 @@ def test_day_blocks_follow_the_agent_stream():
 
 
 def test_tick_draws_follow_the_agent_stream_across_refills():
-    """Each tick's draws are values d*block_len + 2 + t*stride onwards of
-    the agent's own substream, stride being slots+2, on the first tick of
-    every chunk and through a short last chunk as on any other tick."""
+    """Each tick's draws, the agent's column of its group's tick draws, are
+    values d*block_len + 2 + t*stride onwards of the agent's own substream,
+    stride being slots+2, on the first tick of every chunk and through a
+    short last chunk as on any other tick."""
     doc = tiny_doc(population=5, mix={"resident": 0.6, "loner": 0.4}, horizon=2,
                    tick=5, seed=23)
     doc["archetypes"].append(dict(doc["archetypes"][0], id="loner", appliances={"heater": 3}))
@@ -450,7 +451,7 @@ def test_tick_draws_follow_the_agent_stream_across_refills():
             for k, agent in enumerate(group.agents):
                 u, stride, block_len = streams[agent.agent_id]
                 start = day * block_len + 2 + t * stride
-                assert group.tick_draws[k].tolist() == u[start:start + stride].tolist()
+                assert group.tick_draws[:, k].tolist() == u[start:start + stride].tolist()
 
 
 def test_simulation_set_up_memory_at_2000_agents(sample_path):
