@@ -88,26 +88,13 @@ class ArchetypeRuntime:
                 slots.append(spec)
                 labels.append(f"{app_id}#{occurrence}")
 
-        tick = config.tick_minutes
-        off_normal = []
-        off_suppressed = []
-        for spec in slots:
-            if spec.mean_on_minutes is None:
-                base = 0.0
-            else:
-                base = min(1.0, tick / spec.mean_on_minutes)
-            off_normal.append(base)
-            off_suppressed.append(min(1.0, 2.0 * base) if spec.deferrable else base)
-
-        on_normal = []
-        on_suppressed = []
-        for bucket in range(len(slots[0].usage_profile) if slots else 48):
-            row = tuple(spec.usage_profile[bucket] for spec in slots)
-            on_normal.append(row)
-            on_suppressed.append(tuple(
-                p * config.peak_suppression if spec.deferrable else p
-                for p, spec in zip(row, slots)
-            ))
+        deferrable = np.array([spec.deferrable for spec in slots], dtype=bool)
+        mean_on = np.array([np.inf if spec.mean_on_minutes is None else spec.mean_on_minutes
+                            for spec in slots], dtype=np.float64)
+        with np.errstate(over="ignore"):  # a mean on time near 0 gives 1.0, as min() did
+            off_normal = np.minimum(1.0, config.tick_minutes / mean_on)
+        profiles = np.array([spec.usage_profile for spec in slots], dtype=np.float64)
+        on_normal = profiles.reshape(len(slots), 48).T  # a (48, 0) table without appliances
 
         return cls(
             spec=arch,
@@ -120,10 +107,10 @@ class ArchetypeRuntime:
             n_slots=len(slots),
             slot_labels=tuple(labels),
             slot_powers=tuple(spec.power_watts for spec in slots),
-            on_normal=np.array(on_normal, dtype=np.float64),
-            on_suppressed=np.array(on_suppressed, dtype=np.float64),
-            off_normal=np.array(off_normal, dtype=np.float64),
-            off_suppressed=np.array(off_suppressed, dtype=np.float64),
+            on_normal=on_normal,
+            on_suppressed=np.where(deferrable, on_normal * config.peak_suppression, on_normal),
+            off_normal=off_normal,
+            off_suppressed=np.where(deferrable, np.minimum(1.0, 2.0 * off_normal), off_normal),
         )
 
 
@@ -219,14 +206,10 @@ def chat_coins(
 def step_presence(
     agent: AgentState, home: bool, tick: int, events: list[AgentEvent] | None,
 ) -> None:
-    """Move the agent home or out, as presence_mask decided.
-
-    Influence and learning are untouched; an agent already where home puts
-    it records nothing.
+    """Record the agent's move home (home true) or out, which presence_mask
+    decided and applied to its group's home mask; the engine calls it only
+    for agents whose flip is set.  Influence and learning are untouched.
     """
-    if agent.at_home == home:
-        return
-    agent.at_home = home
     if events is not None:
         events.append(AgentEvent(tick, agent.agent_id, RETURNED_HOME if home else LEFT_HOME))
 

@@ -8,7 +8,8 @@ Subcommands:
     sweep          peak window reduction across initial experienced fractions
 
 Exit codes: 0 on success, 2 on validation or comparison input problems
-(violations printed one per line), 1 on I/O failure.
+(violations printed one per line), 1 on I/O failure or a run too large
+for memory.
 """
 
 from __future__ import annotations
@@ -129,6 +130,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     events_rows = 0
 
+    def discard() -> None:
+        """Remove what the run wrote: a refused run leaves nothing behind."""
+        with contextlib.suppress(OSError):
+            if events_path is not None:
+                os.remove(events_path)
+            for directory in made:
+                os.rmdir(directory)
+
     def write_events(events: list[AgentEvent]) -> None:
         nonlocal events_rows
         events_rows += len(events)
@@ -147,6 +156,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"cannot allocate the run: {str(exc) or 'out of memory'}", file=sys.stderr)
+        discard()
+        return EXIT_IO
     # the agents and network are dead once the output is built; held
     # through the writing below they raise the peak memory
     del sim
@@ -154,12 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
     except ValueError as exc:
         print(f"BadCurve: {exc}", file=sys.stderr)
-        # a refused run leaves nothing behind
-        with contextlib.suppress(OSError):
-            if events_path is not None:
-                os.remove(events_path)
-            for directory in made:
-                os.rmdir(directory)
+        discard()
         return EXIT_INVALID
 
     files = ["loadcurve.csv", "adoption.csv"] + (["events.csv"] if args.events else [])
@@ -298,6 +306,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"cannot allocate the run: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
 
     print(f"window {window[0]}-{window[1]}, seed {scenarios[0].config.seed}")

@@ -118,17 +118,15 @@ class LearningState:
 
 @dataclass(slots=True)
 class AgentState:
-    """Mutable per agent simulation state.
+    """Mutable per agent state, as the per agent behaviour functions use it.
 
     learning is None while the agent is uninfluenced.  appliance_on has one
     flag per owned appliance instance, in archetype bundle order.
     bonus_trial_today caps peer learning at one extra trial per day.  The
-    day's leave and return times live in the engine's group arrays.
+    archetype, presence and the day's times live in the engine's groups.
     """
 
     agent_id: int
-    archetype_id: str
-    at_home: bool
     learning: LearningState | None
     appliance_on: list[bool]
     bonus_trial_today: bool = False
@@ -523,7 +521,7 @@ def load_scenario(path: str, overrides: Mapping[str, Any] | None = None) -> Scen
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
             raise ScenarioValidationError(
                 [ValidationIssue(BAD_VALUE, f"not valid JSON: {exc}")]
             ) from exc

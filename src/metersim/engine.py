@@ -27,12 +27,12 @@ columns of the rows into the group's tick draws, one column per agent, so
 the masks read each slot's draws as one contiguous row.
 
 A tick advances the clock by tick_minutes.  On the first tick of each day
-the engine does the day bookkeeping per agent (the day's first fill, leave
-and return times for the whole group from columns 0 and 1, the intervention
-once due, the daily reinforced trial for influenced agents that are at
-home); the first tick of each later chunk refills the rows.  Every tick
-then decides, once per group and with numpy over the group's arrays (see
-behavior):
+the engine makes the day's first fill, takes leave and return times for
+the whole group from columns 0 and 1, and visits in id order only the
+agents whose learning changes: the uninfluenced once the intervention is
+due, and the influenced at home for their daily reinforced trial.  The
+first tick of each later chunk refills the rows.  Every tick then decides,
+once per group and with numpy over the group's arrays (see behavior):
 
     flip    presence_mask: whose home flag changes at this clock time
     switch  switch_mask: which appliance slots of at-home agents switch
@@ -42,11 +42,9 @@ and visits only the agents with a flip, a switch or a landed coin, in
 ascending id order.  For each visited agent it calls step_presence,
 appliance_tick (with the agent's switched slots) and maybe_interact, each
 only where its mask is set and in that order, so the events come out in the
-order of a loop over every agent.  The group arrays (leave/return times,
-home, on, influenced, experienced) stay in step with the agents' own
-fields.  Peer interactions read donor learning states from a snapshot that
-is rebuilt at each day boundary and updated after each tick for the agents
-whose learning a chat changed, so outcomes do not depend on the visit
+order of a loop over every agent.  Peer interactions read donor learning
+states from a snapshot that is updated where learning changes, at the day
+boundary and after each tick, so outcomes do not depend on the visit
 order.  The tick then appends the population load sample in watts: the
 exactly rounded sum of power times the number of agents with the slot on,
 over every group's slots, so it is never negative and does not depend on
@@ -58,6 +56,7 @@ tick's events.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -231,10 +230,11 @@ class _Group:
     possibly shorter.  tick_draws receives the current tick's draws with
     one column per agent (slots+2 rows, as behavior reads them).  on_count
     counts the group's agents that have each appliance slot on.  The arrays
-    below run over the group's agents in id order and mirror their state:
+    below run over the group's agents in id order (home and the times have
+    no other copy; the rest are set wherever the engine changes an agent):
 
         leave_at, return_at   today's leave and return minute
-        home                  AgentState.at_home
+        home                  whether the agent is at home
         on                    AgentState.appliance_on, slot-major (slots x agents)
         influenced            learning is not None
         experienced           learning is experienced
@@ -251,20 +251,25 @@ class _Group:
     )
 
     def __init__(self, rt: ArchetypeRuntime, agents: list[AgentState],
-                 gens: list[np.random.Generator], ticks_per_day: int):
+                 gens: list[np.random.Generator], ticks_per_day: int, seeded: np.ndarray):
         count, slots = len(agents), rt.n_slots
         self.rt = rt
         self.agents = agents
         self.gens = gens
         self.chunk = chunk_ticks(ticks_per_day, slots + 2)
         self.ticks_per_day = ticks_per_day
-        self.draws = np.empty((count, 2 + self.chunk * (slots + 2)))
+        width = 2 + self.chunk * (slots + 2)
+        # pages of its own, unmapped when it is freed: malloc would put it in
+        # the heap once one matrix has been freed, and later allocations split
+        # the hole it leaves there, so the next one no longer fits
+        pages = mmap.mmap(-1, 8 * max(1, count * width))
+        self.draws = np.frombuffer(pages, np.float64, count * width).reshape(count, width)
         self.tick_draws = np.empty((slots + 2, count))
         self.on_count = [0] * slots
         self.home = np.ones(count, dtype=bool)
         self.on = np.zeros((slots, count), dtype=bool)
-        self.influenced = np.zeros(count, dtype=bool)
-        self.experienced = np.zeros(count, dtype=bool)
+        self.influenced = seeded.copy()
+        self.experienced = seeded.copy()
         self.flip = np.zeros(count, dtype=bool)
         self.coin = np.zeros(count, dtype=bool)
         self.spare = np.zeros(count, dtype=bool)
@@ -288,12 +293,6 @@ class _Group:
         # each row's slice is contiguous, as gen.random requires of out
         for gen, row in zip(self.gens, self.draws[:, 2:2 + ticks * (self.rt.n_slots + 2)]):
             gen.random(out=row)
-
-    def sync_learning(self) -> None:
-        """Rebuild influenced and experienced from the agents."""
-        learning = [a.learning for a in self.agents]
-        self.influenced[:] = [s is not None for s in learning]
-        self.experienced[:] = [s is not None and s.experienced for s in learning]
 
     def decide(self, tick_in_day: int, now: int, bucket: int, in_peak: bool) -> np.ndarray:
         """Fill the tick's draws and masks and return the indices of the
@@ -381,8 +380,6 @@ class Simulation:
             agents = [
                 AgentState(
                     agent_id=first + k,
-                    archetype_id=rt.spec.id,
-                    at_home=True,
                     learning=None,
                     appliance_on=[False] * rt.n_slots,
                 )
@@ -398,7 +395,8 @@ class Simulation:
                     agents[k].learning = state
             gens = agent_streams(cfg.seed, first, count)
             self.agents.extend(agents)
-            self._groups.append(_Group(rt, agents, gens, self.ticks_per_day))
+            self._groups.append(_Group(rt, agents, gens, self.ticks_per_day,
+                                       seeded[first:first + count]))
 
         net_rng = substream(cfg.seed, STREAM_NETWORK)
         self.network = generate_small_world(
@@ -409,24 +407,30 @@ class Simulation:
         self.adoption_series: list[tuple[int, int, int]] = []
         self._tick_index = 0
         # donor learning states as of the start of the current tick
-        self._snapshot: list[LearningState | None] = []
+        self._snapshot: list[LearningState | None] = [a.learning for a in self.agents]
+        # today's agents whose learning a chat changed: they took the bonus
+        self._bonus_taken: list[AgentState] = []
 
     def _day_boundary(self, day: int, tick_index: int) -> None:
-        cfg = self.cfg
         events = self.tick_events
-        intervention_due = day >= cfg.intervention_start_day
+        intervention_due = day >= self.cfg.intervention_start_day
+        for agent in self._bonus_taken:
+            agent.bonus_trial_today = False
+        self._bonus_taken.clear()
         for group in self._groups:
             if day > 0:
                 group.start_day()
-            learn_params = group.rt.learn_params
-            for agent in group.agents:
-                agent.bonus_trial_today = False
-                if intervention_due and agent.learning is None:
+            home, influenced = group.home, group.influenced
+            visit = np.flatnonzero(home | ~influenced if intervention_due else home & influenced)
+            influenced[visit] = True
+            for k, at_home in zip(visit.tolist(), home[visit].tolist()):
+                agent = group.agents[k]
+                if agent.learning is None:
                     apply_intervention(agent, tick_index, events)
-                if agent.learning is not None and agent.at_home:
-                    record_daily_trial(agent, learn_params, tick_index, events)
-            group.sync_learning()
-        self._snapshot = [a.learning for a in self.agents]
+                if at_home:
+                    record_daily_trial(agent, group.rt.learn_params, tick_index, events)
+                    group.experienced[k] = agent.learning.experienced
+                self._snapshot[agent.agent_id] = agent.learning
 
     def tick(self) -> None:
         """Advance the world by one tick."""
@@ -479,6 +483,7 @@ class Simulation:
         self.load_series.append(math.fsum(load_terms))
         for agent in learned:
             snapshot[agent.agent_id] = agent.learning
+        self._bonus_taken += learned
 
         if tick_in_day == self.ticks_per_day - 1:
             influenced = sum(int(np.count_nonzero(g.influenced)) for g in self._groups)

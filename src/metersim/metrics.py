@@ -154,7 +154,11 @@ def read_load_curve(path: str) -> LoadCurve:
     on malformed content.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # such as a field past csv's size limit
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
     starts: list[int] = []

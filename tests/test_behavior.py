@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,11 +73,11 @@ def column(row):
 
 
 def masks_of_one(agent, rt):
-    """The group arrays of a group whose only member is agent."""
+    """The group arrays of a group whose only member is agent, at home."""
     learning = agent.learning
     return (
         np.array(agent.appliance_on, dtype=bool).reshape(rt.n_slots, 1),
-        np.array([agent.at_home]),
+        np.ones(1, dtype=bool),
         np.array([learning is not None]),
         np.array([learning is not None and learning.experienced]),
     )
@@ -115,13 +116,17 @@ def chat_round(agent, neighbor_ids, snapshot, rt, row, tick, events):
         maybe_interact(agent, neighbor_ids, snapshot, rt, row, tick, events)
 
 
-def home_at(agent, leave, ret, now):
-    """presence_mask over a group of one: where the agent is at now."""
-    home = np.array([agent.at_home])
+def presence_round(agent, home, leave, ret, now, tick, events):
+    """One presence round for a group of one, as the engine runs it:
+    presence_mask moves the home mask, and step_presence records the move
+    where flip is set.  Returns flip."""
+    before = home.copy()
     flip = np.zeros(1, dtype=bool)
     presence_mask(np.array([leave]), np.array([ret]), now, home, flip, np.zeros(1, dtype=bool))
-    assert flip[0] == (home[0] != agent.at_home)
-    return bool(home[0])
+    assert flip[0] == (home[0] != before[0])
+    if flip[0]:
+        step_presence(agent, bool(home[0]), tick, events)
+    return bool(flip[0])
 
 
 def chat_row(rt, coin, pick):
@@ -143,8 +148,6 @@ def build_runtime(**kwargs):
 def make_agent(learning=None, on=None):
     return AgentState(
         agent_id=0,
-        archetype_id="resident",
-        at_home=True,
         learning=learning,
         appliance_on=list(on or [False, False]),
     )
@@ -161,6 +164,30 @@ def test_runtime_tables():
     assert rt.on_suppressed[10].tolist() == [0.5, 0.15]
     assert rt.off_suppressed.tolist() == [0.5, 1.0]
     assert rt.on_normal.dtype == rt.off_normal.dtype == np.float64
+
+
+def test_runtime_tables_at_the_edges():
+    """A null mean on time never switches off, one near 0 always does, with
+    no overflow warning on stderr, and an archetype without appliances gets
+    empty tables.  Divisions round as Python's do."""
+    doc = tiny_doc(tick=10)
+    doc["appliances"][1]["mean_on_minutes"] = None
+    doc["appliances"].append(dict(doc["appliances"][1], id="flash", mean_on_minutes=5e-324))
+    doc["archetypes"][0]["appliances"]["flash"] = 1
+    doc["archetypes"].append(dict(doc["archetypes"][0], id="bare", appliances={}))
+    scenario = validate_scenario(doc)
+    catalog = {a.id: a for a in scenario.appliances}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rt, bare = (ArchetypeRuntime.build(arch, catalog, scenario.config)
+                    for arch in scenario.archetypes)
+    assert rt.slot_labels == ("heater#0", "shifter#0", "flash#0")
+    assert rt.off_normal.tolist() == [10 / 60.0, 0.0, 1.0]
+    assert rt.off_suppressed.tolist() == [10 / 60.0, 0.0, 1.0]
+    assert rt.on_suppressed[0].tolist() == [0.5, 0.3 * 0.5, 0.3 * 0.5]
+    assert bare.n_slots == 0
+    assert bare.on_normal.shape == bare.on_suppressed.shape == (48, 0)
+    assert bare.off_normal.shape == bare.off_suppressed.shape == (0,)
 
 
 LAST_BELOW_ONE = 1.0 - 2.0**-53
@@ -203,30 +230,43 @@ def test_sample_daily_times_degenerate_window():
 
 def test_step_presence_morning_noop():
     agent = make_agent()
+    home = np.ones(1, dtype=bool)
     events = []
-    step_presence(agent, home_at(agent, 525, 1080, 180), tick=6, events=events)
-    assert agent.at_home and events == []
+    assert not presence_round(agent, home, 525, 1080, 180, tick=6, events=events)
+    assert home[0] and events == []
 
 
 def test_step_presence_leaves_at_first_tick_past_leave_time():
     agent = make_agent()
+    home = np.ones(1, dtype=bool)
     events = []
-    step_presence(agent, home_at(agent, 525, 1080, 530), tick=10, events=events)
-    assert not agent.at_home
-    assert [e.kind for e in events] == [LEFT_HOME]
+    assert presence_round(agent, home, 525, 1080, 530, tick=10, events=events)
+    assert not home[0]
+    assert events == [AgentEvent(10, 0, LEFT_HOME)]
     # still out before the return time
-    step_presence(agent, home_at(agent, 525, 1080, 1070), tick=20, events=events)
-    assert not agent.at_home and len(events) == 1
-    step_presence(agent, home_at(agent, 525, 1080, 1080), tick=21, events=events)
-    assert agent.at_home
-    assert [e.kind for e in events] == [LEFT_HOME, RETURNED_HOME]
+    assert not presence_round(agent, home, 525, 1080, 1070, tick=20, events=events)
+    assert not home[0] and len(events) == 1
+    assert presence_round(agent, home, 525, 1080, 1080, tick=21, events=events)
+    assert home[0]
+    assert events == [AgentEvent(10, 0, LEFT_HOME), AgentEvent(21, 0, RETURNED_HOME)]
+
+
+def test_step_presence_records_one_move_to_the_side_given():
+    agent = make_agent()
+    events = []
+    step_presence(agent, False, tick=4, events=events)
+    step_presence(agent, True, tick=9, events=events)
+    assert events == [AgentEvent(4, 0, LEFT_HOME), AgentEvent(9, 0, RETURNED_HOME)]
+    step_presence(agent, False, tick=10, events=None)
+    assert len(events) == 2
 
 
 def test_step_presence_keeps_learning():
     state = LearningState(3, False)
     agent = make_agent(learning=state)
-    step_presence(agent, home_at(agent, 525, 1080, 530), tick=1, events=None)
-    step_presence(agent, home_at(agent, 525, 1080, 1080), tick=2, events=None)
+    home = np.ones(1, dtype=bool)
+    assert presence_round(agent, home, 525, 1080, 530, tick=1, events=None)
+    assert presence_round(agent, home, 525, 1080, 1080, tick=2, events=None)
     assert agent.learning is state
 
 

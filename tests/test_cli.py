@@ -58,6 +58,68 @@ def test_validate_rejects_broken_json(tmp_path, capsys):
     assert "BadValue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-utf-8", "nested-too-deep"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unparsable_scenario_files_are_refused_not_a_traceback(tmp_path, capsys, content, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = tmp_path / "o"
+    args = ["--out", str(out), "--events"] if command == "run" else []
+    assert main([command, "--config", str(path), *args]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("BadValue: not valid JSON: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_population_beyond_memory_passes_validate(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(tiny_doc(population=10**10)), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
+def refuse_to_allocate(*args, **kwargs):
+    raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+
+def test_run_too_large_for_memory_exits_1_and_leaves_nothing(
+        tiny_config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "Simulation", refuse_to_allocate)
+    out = tmp_path / "o" / "run"
+    assert main(["run", "--config", tiny_config(), "--out", str(out), "--events"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("cannot allocate the run: Unable to allocate 74.5 GiB "
+                            "for an array with shape (10000000000,)\n")
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+    # a directory that was there before stays, without the streamed log
+    out.mkdir(parents=True)
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    assert main(["run", "--config", tiny_config(), "--out", str(out), "--events"]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+
+def test_sweep_too_large_for_memory_exits_1_and_leaves_nothing(
+        tiny_config, tmp_path, capsys, monkeypatch):
+    def out_of_memory(scenario):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", out_of_memory)
+    out = tmp_path / "o" / "sweep.csv"
+    assert main(["sweep", "--config", tiny_config(), "--fractions", "0.0,0.5",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "cannot allocate the run: out of memory\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_is_io_error(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -440,6 +502,15 @@ def test_compare_rejects_mismatched_and_malformed_curves(tiny_config, tmp_path, 
     assert "BadCurve" in capsys.readouterr().err
 
     assert main(["compare", str(curve_path), str(tmp_path / "missing.csv")]) == 1
+
+
+def test_compare_reports_a_line_past_the_csv_field_limit_as_a_bad_curve(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["compare", str(deep), str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"BadCurve: {deep}:1: field larger than field limit (131072)\n"
+    assert captured.out == ""
 
 
 def test_network_stats(tiny_config, capsys):

@@ -10,9 +10,9 @@ import pytest
 
 import metersim.engine as engine
 from metersim import cli
-from metersim.domain import load_scenario
+from metersim.domain import load_scenario, validate_scenario
 
-from conftest import SAMPLE_PATH
+from conftest import SAMPLE_PATH, tiny_doc
 
 TRACING = os.path.join(os.path.dirname(SAMPLE_PATH), "..", "perfbench", "tracing.py")
 
@@ -29,10 +29,15 @@ def test_every_per_agent_call_acts(monkeypatch, fraction):
     appliance_tick = engine.appliance_tick
     maybe_interact = engine.maybe_interact
 
-    def counted_step_presence(agent, *args):
-        before = agent.at_home
-        step_presence(agent, *args)
-        assert agent.at_home != before
+    side = {}  # each agent's last move; everyone starts at home
+
+    def counted_step_presence(agent, home, tick, events):
+        assert home != side.get(agent.agent_id, True)
+        side[agent.agent_id] = home
+        first = len(events)
+        step_presence(agent, home, tick, events)
+        kind = "ReturnedHome" if home else "LeftHome"
+        assert events[first:] == [(tick, agent.agent_id, kind, "")]
         calls["step_presence"] += 1
 
     def counted_appliance_tick(agent, *args):
@@ -42,7 +47,8 @@ def test_every_per_agent_call_acts(monkeypatch, fraction):
         calls["appliance_tick"] += 1
 
     def counted_maybe_interact(agent, neighbor_ids, snapshot, rt, row, tick, events):
-        assert agent.at_home and agent.learning is not None
+        group, k = member[agent.agent_id]
+        assert group.home[k] and group.influenced[k] and agent.learning is not None
         assert row[rt.n_slots] < rt.p_interact  # the coin landed
         maybe_interact(agent, neighbor_ids, snapshot, rt, row, tick, events)
         calls["maybe_interact"] += 1
@@ -51,7 +57,9 @@ def test_every_per_agent_call_acts(monkeypatch, fraction):
     monkeypatch.setattr(engine, "appliance_tick", counted_appliance_tick)
     monkeypatch.setattr(engine, "maybe_interact", counted_maybe_interact)
     scenario = two_day_sample(fraction)
-    output = engine.run(scenario, record_events=True)
+    sim = engine.Simulation(scenario, record_events=True)
+    member = {a.agent_id: (group, k) for group in sim._groups for k, a in enumerate(group.agents)}
+    output = sim.run_all()
 
     kinds = [e.kind for e in output.events]
     # one presence call per presence event, and at least one call per
@@ -104,3 +112,74 @@ def test_every_traced_name_is_still_called(tmp_path):
         assert tracer.counts[count] > 0
     # a switch per appliance_tick call at least: no call leaves the agent unchanged
     assert tracer.counts["behavior.switch_events"] >= tracer.calls["behavior.appliance_tick"]
+
+
+def late_return_doc():
+    """Returns from 23:40 at 30-minute ticks: an agent back after 23:30 is
+    still out at the next day boundary and misses that day's trial."""
+    doc = tiny_doc(population=24, horizon=4, tick=30, exp_frac=0.25, intervention=1, seed=5)
+    doc["archetypes"][0]["return_window"] = ["23:40", "23:59"]
+    return doc
+
+
+@pytest.mark.parametrize("make_scenario, all_home_at_midnight", [
+    (lambda: two_day_sample(0.0), True),
+    (lambda: two_day_sample(0.9), True),
+    (lambda: validate_scenario(late_return_doc()), False),
+], ids=["sample-0.0", "sample-0.9", "late-return"])
+def test_day_boundary_calls_each_learning_step_once_per_agent_it_changes(
+        monkeypatch, make_scenario, all_home_at_midnight):
+    """At each day boundary apply_intervention runs once for every
+    uninfluenced agent, once the intervention is due, and
+    record_daily_trial once for every influenced agent at home, in
+    ascending id order with the intervention first.  Presence and
+    influence are replayed from the event log."""
+    calls = []
+    apply_intervention = engine.apply_intervention
+    record_daily_trial = engine.record_daily_trial
+
+    def counted_apply_intervention(agent, tick, events):
+        calls.append((tick, agent.agent_id, "intervention"))
+        apply_intervention(agent, tick, events)
+
+    def counted_record_daily_trial(agent, params, tick, events):
+        calls.append((tick, agent.agent_id, "trial"))
+        record_daily_trial(agent, params, tick, events)
+
+    monkeypatch.setattr(engine, "apply_intervention", counted_apply_intervention)
+    monkeypatch.setattr(engine, "record_daily_trial", counted_record_daily_trial)
+    scenario = make_scenario()
+    config = scenario.config
+    sim = engine.Simulation(scenario, record_events=True)
+    influenced = [a.learning is not None for a in sim.agents]
+    seeded = sum(influenced)
+    output = sim.run_all()
+
+    population = config.population
+    home = [True] * population
+    expected = []
+    events = iter(output.events)
+    event = next(events, None)
+    for day in range(config.horizon_days):
+        tick = day * config.ticks_per_day
+        # moves up to the last tick of the day before
+        while event is not None and event.tick < tick:
+            if event.kind in ("LeftHome", "ReturnedHome"):
+                home[event.agent_id] = event.kind == "ReturnedHome"
+            event = next(events, None)
+        for i in range(population):
+            if day >= config.intervention_start_day and not influenced[i]:
+                expected.append((tick, i, "intervention"))
+                influenced[i] = True
+            if influenced[i] and home[i]:
+                expected.append((tick, i, "trial"))
+    assert calls == expected
+    kinds = [e.kind for e in output.events]
+    assert sum(c[2] == "intervention" for c in calls) == kinds.count("Influenced") > 0
+    trials = sum(c[2] == "trial" for c in calls)
+    start = config.intervention_start_day
+    influenced_days = seeded * start + population * (config.horizon_days - start)
+    if all_home_at_midnight:
+        assert trials == influenced_days
+    else:
+        assert 0 < trials < influenced_days

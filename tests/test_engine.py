@@ -337,11 +337,16 @@ def test_preseeded_agents_are_experienced_at_threshold(monkeypatch):
     # threshold trial count for M=1, threshold 0.85: 4 at k=0.5, 8 at k=0.25
     expected = {"resident": LearningState(trials_t=4, experienced=True),
                 "loner": LearningState(trials_t=8, experienced=True)}
-    for a in seeded:
-        assert a.learning == expected[a.archetype_id]
-        assert a.at_home
-    for arch_id in expected:
-        assert len({id(a.learning) for a in seeded if a.archetype_id == arch_id}) == 1
+    assert [group.rt.spec.id for group in sim._groups] == list(expected)
+    for group in sim._groups:
+        picked = [k for k, a in enumerate(group.agents) if a.learning is not None]
+        for k in picked:
+            assert group.agents[k].learning == expected[group.rt.spec.id]
+            assert group.home[k]
+        assert len({id(group.agents[k].learning) for k in picked}) == 1
+        # the group's flags are set with the agents, at set-up
+        flags = [a.learning is not None for a in group.agents]
+        assert group.influenced.tolist() == group.experienced.tolist() == flags
 
 
 @pytest.mark.parametrize("pop,frac,expected", [
@@ -364,8 +369,9 @@ def test_population_starts_at_home_inside_windows():
     assert len(agents) == 20
     assert sim.network.edge_count == 40
     times = daily_times(sim)
+    for group in sim._groups:
+        assert group.home.tolist() == [True] * len(group.agents)
     for a in agents:
-        assert a.at_home
         assert a.learning is None
         assert a.appliance_on == [False, False]
         leave, ret = times[a.agent_id]
@@ -411,14 +417,17 @@ def test_day_blocks_follow_the_agent_stream():
             continue
         day = t // ticks_per_day
         times = daily_times(sim)
-        for agent in sim.agents:
-            slots, leave_lo, leave_span, return_lo, return_span = layout[agent.archetype_id]
+        for group in sim._groups:
+            slots, leave_lo, leave_span, return_lo, return_span = layout[group.rt.spec.id]
             block_len = 2 + ticks_per_day * (slots + 2)
-            u = substream(19, STREAM_AGENT, agent.agent_id).random(3 * block_len)
-            leave, ret = times[agent.agent_id]
-            assert leave == leave_lo + int(u[day * block_len] * leave_span)
-            assert ret == return_lo + int(u[day * block_len + 1] * return_span)
-    assert [a.archetype_id for a in sim.agents] == ["resident"] * 3 + ["loner"] * 2
+            for agent in group.agents:
+                u = substream(19, STREAM_AGENT, agent.agent_id).random(3 * block_len)
+                leave, ret = times[agent.agent_id]
+                assert leave == leave_lo + int(u[day * block_len] * leave_span)
+                assert ret == return_lo + int(u[day * block_len + 1] * return_span)
+    members = [(group.rt.spec.id, a.agent_id) for group in sim._groups for a in group.agents]
+    assert members == [("resident", 0), ("resident", 1), ("resident", 2), ("loner", 3), ("loner", 4)]
+    assert [id(a) for a in sim.agents] == [id(a) for group in sim._groups for a in group.agents]
 
 
 def test_tick_draws_follow_the_agent_stream_across_refills():
@@ -454,16 +463,23 @@ def test_tick_draws_follow_the_agent_stream_across_refills():
                 assert group.tick_draws[:, k].tolist() == u[start:start + stride].tolist()
 
 
-def test_simulation_set_up_memory_at_2000_agents(sample_path):
-    """One float64 draw row per agent keeps the set-up of 2000 sample
-    households under 40 MB (a list of boxed floats per agent took 84 MB)."""
-    scenario = load_scenario(sample_path, {"population": 2000})
+def set_up_peak(scenario):
+    """A Simulation of scenario and the peak memory its set-up took:
+    tracemalloc's peak plus the draw matrices, which have pages of their
+    own that tracemalloc does not see."""
     tracemalloc.start()
     try:
         sim = Simulation(scenario)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return sim, peak + sum(group.draws.nbytes for group in sim._groups)
+
+
+def test_simulation_set_up_memory_at_2000_agents(sample_path):
+    """One float64 draw row per agent keeps the set-up of 2000 sample
+    households under 40 MB (a list of boxed floats per agent took 84 MB)."""
+    sim, peak = set_up_peak(load_scenario(sample_path, {"population": 2000}))
     assert len(sim.agents) == 2000
     assert peak < 40 * 2**20
 
@@ -473,13 +489,8 @@ def test_set_up_memory_does_not_grow_with_the_day(sample_path, tick):
     """The draw rows hold one chunk of ticks, not the whole day, so the
     set-up of 2000 sample households stays under 12 MB at 144 ticks a day
     and at 1440 (holding the whole day took 23 and 201 MB)."""
-    scenario = load_scenario(sample_path, {"population": 2000, "tick_minutes": tick})
-    tracemalloc.start()
-    try:
-        sim = Simulation(scenario)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    sim, peak = set_up_peak(
+        load_scenario(sample_path, {"population": 2000, "tick_minutes": tick}))
     assert len(sim.agents) == 2000
     assert peak < 12 * 2**20
 

@@ -1,7 +1,8 @@
 """Golden outputs for the sample scenario.
 
 `metersim run --events` on the sample, cut to a one-day horizon, at seeds
-42-46 and experienced fractions 0.0 and 0.9.  Seed and fraction go through
+42-46 and experienced fractions 0.0 and 0.9, and over several days at seed
+42: the sample as it stands, and at 8 days with fractions 0.0 and 0.9.  Seed and fraction go through
 the CLI overrides, so a change to the engine, the validator or the
 override path that moves a single output byte fails here.  `metersim
 network-stats` on the sample at seeds 42-46 and at 5 000 households holds
@@ -91,6 +92,45 @@ def test_golden_output_hashes(one_day_sample, tmp_path, capsys, seed, fraction):
     assert code == 0, capsys.readouterr().err
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS)
     assert digests == GOLDEN[(seed, fraction)]
+
+
+# (horizon_days or None for the sample's 7, --experienced-fraction) ->
+# SHA-256 of OUTPUTS at seed 42: later day boundaries, learning crossings
+# and the daily bonus reset
+GOLDEN_DAYS = {
+    (None, "0.0"): (
+        "b827ea7ecc5be978a2874868ea4158c36616ab0f1dd20c8bb0ba68ea17c8749a",
+        "3cfd699e84132f98a19343ab34cb5af47f765db89cbc0207576892cdf8e6ec99",
+        "35e49b33ff677ff09035e731d34533d6b16bff013213f6e6a44addfc073c8be2",
+    ),
+    (8, "0.0"): (
+        "b733a596e577ee2f7cd0edffc36c09a53633cf2edce5052854d6b3c7d63edd95",
+        "115fbe9eab3863969c886b7aa9e43daec69435f33f9b9d1a0bb4c135b9fcb62d",
+        "0408e82fdf493259a1e4d3a59e983502435b971af98646c01679d9aefa49dfe7",
+    ),
+    (8, "0.9"): (
+        "da7c9bc1ec59bc2a9fe624c57077035ba85f6e3d9f3f5f73f1f37c857b838473",
+        "8bc6ad6cbc24aabd10ae9207ee3d8d1353b0828814ac53f439e54ef2a9ad5bf9",
+        "5e0797bcbbf0f9a4bc62e395e948ec12c90051734633beaa8c15b97df2c0f637",
+    ),
+}
+
+
+@pytest.mark.parametrize("horizon, fraction", list(GOLDEN_DAYS))
+def test_golden_output_hashes_over_days(sample_path, tmp_path, capsys, horizon, fraction):
+    config = sample_path
+    if horizon is not None:
+        with open(sample_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["scenario"]["horizon_days"] = horizon
+        config = tmp_path / "sample.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--out", str(out), "--events",
+                 "--seed", "42", "--experienced-fraction", fraction])
+    assert code == 0, capsys.readouterr().err
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS)
+    assert digests == GOLDEN_DAYS[(horizon, fraction)]
 
 
 NETWORK_HEADER = "nodes,edges,mean_degree,clustering_coefficient,mean_path_length"

@@ -83,7 +83,6 @@ def scenario_docs(draw):
 def assert_groups_mirror_agents(sim):
     for group in sim._groups:
         agents = group.agents
-        assert group.home.tolist() == [a.at_home for a in agents]
         assert group.on.T.tolist() == [a.appliance_on for a in agents]
         assert group.influenced.tolist() == [a.learning is not None for a in agents]
         assert group.experienced.tolist() == [
