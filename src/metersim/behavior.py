@@ -243,25 +243,23 @@ def appliance_tick(
     agent: AgentState,
     rt: ArchetypeRuntime,
     slots: list[int],
-    on_count: list[int],
     tick: int,
     events: list[AgentEvent] | None,
 ) -> None:
     """Apply the agent's row of switch_mask.
 
     slots lists the slots marked in the row, ascending.  Each slot j flips:
-    an off slot switches on, an on slot switches off, and on_count[j] (the
-    group's number of agents with the slot on) moves by one.
+    an off slot switches on, an on slot switches off.  The engine's group
+    has already flipped the same slots in its on array, from which it
+    counts the load.
     """
     on = agent.appliance_on
     for j in slots:
         if on[j]:
             on[j] = False
-            on_count[j] -= 1
             kind = SWITCHED_OFF
         else:
             on[j] = True
-            on_count[j] += 1
             kind = SWITCHED_ON
         if events is not None:
             events.append(AgentEvent(tick, agent.agent_id, kind, rt.slot_labels[j]))

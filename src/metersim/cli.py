@@ -7,9 +7,10 @@ Subcommands:
     validate       check a scenario file and list every violation
     sweep          peak window reduction across initial experienced fractions
 
-Exit codes: 0 on success, 2 on validation or comparison input problems
-(violations printed one per line), 1 on I/O failure or a run too large
-for memory.
+The commands raise; main alone prints the stderr line and picks the exit
+code: 2 for a refused scenario (a line per violation) or curve (BadCurve),
+1 for a file that cannot be read or written (IOFailure) or a run that does
+not fit in memory, 0 on success.  Any other error ends in a traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .domain import DEFAULT_PEAK_WINDOW, Scenario, ScenarioValidationError, Time
 from .engine import STREAM_ANALYSIS, STREAM_NETWORK, Simulation, run, substream
 from .metrics import (
     DEFAULT_BUCKET_MINUTES,
-    LengthMismatchError,
+    BadCurve,
     aggregate_load,
     peak_reduction,
     peak_stats,
@@ -47,6 +48,19 @@ from .network import clustering_coefficient, generate_small_world, mean_path_len
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID = 2
+
+
+class IOFailure(Exception):
+    """A file the command cannot read or write; the message says which."""
+
+
+@contextlib.contextmanager
+def _io_failure(what: str):
+    """Raise an OSError in the block as IOFailure("what: error")."""
+    try:
+        yield
+    except OSError as exc:
+        raise IOFailure(f"{what}: {exc}") from exc
 
 
 def event_rows(events: list[AgentEvent]) -> str:
@@ -78,22 +92,15 @@ def _parse_fractions_arg(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma separated numbers, got {text!r}") from exc
 
 
-def _load_scenario_or_exit(args: argparse.Namespace, fraction: float | None = None) -> Scenario | int:
+def _load_scenario(args: argparse.Namespace, fraction: float | None = None) -> Scenario:
     """The scenario named by --config, with the --seed and
-    --experienced-fraction (else fraction) overrides, or an exit code."""
+    --experienced-fraction (else fraction) overrides."""
     overrides = {
         "seed": getattr(args, "seed", None),
         "initial_experienced_fraction": getattr(args, "experienced_fraction", fraction),
     }
-    try:
+    with _io_failure(f"cannot read {args.config}"):
         return load_scenario(args.config, overrides)
-    except ScenarioValidationError as exc:
-        for issue in exc.issues:
-            print(str(issue), file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 def _peak_rss_mb() -> float | None:
@@ -106,10 +113,8 @@ def _peak_rss_mb() -> float | None:
     return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_or_exit(args)
-    if isinstance(scenario, int):
-        return scenario
+def cmd_run(args: argparse.Namespace) -> None:
+    scenario = _load_scenario(args)
 
     started = time.monotonic()
     made = []  # the directories --out adds, innermost first
@@ -117,26 +122,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     while not os.path.exists(parent):
         made.append(parent)
         parent = os.path.dirname(parent)
-    events_path = os.path.join(args.out, "events.csv") if args.events else None
-    # events.csv is written as the run goes, so a bad --out is found
-    # before the first tick
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        events_file = None if events_path is None else open(
-            events_path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    events_path = os.path.join(args.out, "events.csv")
+    events_file = None
     events_rows = 0
-
-    def discard() -> None:
-        """Remove what the run wrote: a refused run leaves nothing behind."""
-        with contextlib.suppress(OSError):
-            if events_path is not None:
-                os.remove(events_path)
-            for directory in made:
-                os.rmdir(directory)
 
     def write_events(events: list[AgentEvent]) -> None:
         nonlocal events_rows
@@ -144,68 +132,64 @@ def cmd_run(args: argparse.Namespace) -> int:
         events_file.write(event_rows(events))
 
     try:
-        with events_file or contextlib.nullcontext():
-            sink = None
+        with _io_failure("cannot write outputs"):
+            # events.csv is written as the run goes, so a bad --out is found
+            # before the first tick
+            os.makedirs(args.out, exist_ok=True)
+            if args.events:
+                events_file = open(events_path, "w", encoding="utf-8", newline="")
+            with events_file or contextlib.nullcontext():
+                if args.events:
+                    events_file.write("tick,agent_id,kind,detail\n")
+                sim = Simulation(scenario, event_sink=write_events if args.events else None)
+                built = time.monotonic()
+                output = sim.run_all()
+                ran = time.monotonic()
+            # the agents and network are dead once the output is built; held
+            # through the writing below they raise the peak memory
+            del sim
+            curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
+
+            files = ["loadcurve.csv", "adoption.csv"] + (["events.csv"] if args.events else [])
+            write_load_curve(curve, os.path.join(args.out, "loadcurve.csv"))
+
+            adoption_path = os.path.join(args.out, "adoption.csv")
+            with open(adoption_path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(("day", "uninfluenced", "inexperienced", "experienced"))
+                for day, row in enumerate(output.adoption_series):
+                    writer.writerow((day, *row))
+
+            manifest = {
+                "scenario_path": os.path.abspath(args.config),
+                "seed": output.seed,
+                "out_dir": os.path.abspath(args.out),
+                "files": files,
+                "engine_version": __version__,
+                "setup_seconds": round(built - started, 3),
+                "tick_seconds": round(ran - built, 3),
+                "duration_seconds": round(time.monotonic() - started, 3),
+            }
+            if ran > built:
+                config = scenario.config
+                agent_ticks = config.population * config.horizon_days * config.ticks_per_day
+                manifest["agent_ticks_per_s"] = round(agent_ticks / (ran - built))
+            if args.events:
+                manifest["events_rows"] = events_rows
+            peak_rss_mb = _peak_rss_mb()
+            if peak_rss_mb is not None:
+                manifest["peak_rss_mb"] = peak_rss_mb
+            with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    except BaseException:
+        # a failed run leaves neither the streamed log nor a directory it made
+        with contextlib.suppress(OSError):
             if events_file is not None:
-                events_file.write("tick,agent_id,kind,detail\n")
-                sink = write_events
-            sim = Simulation(scenario, event_sink=sink)
-            built = time.monotonic()
-            output = sim.run_all()
-            ran = time.monotonic()
-    except OSError as exc:
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except MemoryError as exc:
-        print(f"cannot allocate the run: {str(exc) or 'out of memory'}", file=sys.stderr)
-        discard()
-        return EXIT_IO
-    # the agents and network are dead once the output is built; held
-    # through the writing below they raise the peak memory
-    del sim
-    try:
-        curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
-    except ValueError as exc:
-        print(f"BadCurve: {exc}", file=sys.stderr)
-        discard()
-        return EXIT_INVALID
-
-    files = ["loadcurve.csv", "adoption.csv"] + (["events.csv"] if args.events else [])
-    try:
-        write_load_curve(curve, os.path.join(args.out, "loadcurve.csv"))
-
-        adoption_path = os.path.join(args.out, "adoption.csv")
-        with open(adoption_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("day", "uninfluenced", "inexperienced", "experienced"))
-            for day, row in enumerate(output.adoption_series):
-                writer.writerow((day, *row))
-
-        manifest = {
-            "scenario_path": os.path.abspath(args.config),
-            "seed": output.seed,
-            "out_dir": os.path.abspath(args.out),
-            "files": files,
-            "engine_version": __version__,
-            "setup_seconds": round(built - started, 3),
-            "tick_seconds": round(ran - built, 3),
-            "duration_seconds": round(time.monotonic() - started, 3),
-        }
-        if ran > built:
-            config = scenario.config
-            agent_ticks = config.population * config.horizon_days * config.ticks_per_day
-            manifest["agent_ticks_per_s"] = round(agent_ticks / (ran - built))
-        if args.events:
-            manifest["events_rows"] = events_rows
-        peak_rss_mb = _peak_rss_mb()
-        if peak_rss_mb is not None:
-            manifest["peak_rss_mb"] = peak_rss_mb
-        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
+                os.remove(events_path)
+            for directory in made:
+                os.rmdir(directory)
+        raise
 
     time_of_peak, peak_watts = peak_stats(curve)
     print(f"seed={output.seed}")
@@ -214,26 +198,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"peak_watts={peak_watts:.3f}")
     last = output.adoption_series[-1]
     print(f"final_adoption=uninfluenced:{last[0]},inexperienced:{last[1]},experienced:{last[2]}")
-    return EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    try:
+def cmd_compare(args: argparse.Namespace) -> None:
+    with _io_failure("cannot read curve"):
         base = read_load_curve(args.base)
         treated = read_load_curve(args.treated)
-    except OSError as exc:
-        print(f"cannot read curve: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"BadCurve: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    try:
-        correlation = pearson_correlation(base, treated)
-        reduction = peak_reduction(base, treated, args.window)
-    except (LengthMismatchError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    correlation = pearson_correlation(base, treated)
+    reduction = peak_reduction(base, treated, args.window)
 
     base_peak = peak_stats(base)
     treated_peak = peak_stats(treated)
@@ -243,14 +215,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"treated_peak_start_min={treated_peak[0].minutes}")
     print(f"treated_peak_watts={treated_peak[1]:.3f}")
     print(f"peak_reduction={reduction:.6f}")
-    return EXIT_OK
 
 
-def cmd_network_stats(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_or_exit(args)
-    if isinstance(scenario, int):
-        return scenario
-    config = scenario.config
+def cmd_network_stats(args: argparse.Namespace) -> None:
+    config = _load_scenario(args).config
     net = generate_small_world(
         config.population,
         config.network_mean_degree_K,
@@ -266,33 +234,24 @@ def cmd_network_stats(args: argparse.Namespace) -> int:
         f"{net.node_count},{net.edge_count},{mean_degree:.6f},"
         f"{clustering:.6f},{path_length:.6f}"
     )
-    return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _load_scenario_or_exit(args)
-    if isinstance(scenario, int):
-        return scenario
+def cmd_validate(args: argparse.Namespace) -> None:
+    _load_scenario(args)
     print("ok")
-    return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     # every fraction is validated before the first run
-    scenarios = []
-    for fraction in args.fractions:
-        scenario = _load_scenario_or_exit(args, fraction)
-        if isinstance(scenario, int):
-            return scenario
-        scenarios.append(scenario)
+    scenarios = [_load_scenario(args, fraction) for fraction in args.fractions]
 
     # same seed for every fraction: the runs stay draw aligned, so the
     # differences are behavioural; the first fraction is the baseline
     window = scenarios[0].config.peak_window
-    try:
-        curves = [aggregate_load(run(scenario)) for scenario in scenarios]
-        rows = [(fraction, window_mean(curve, window), peak_reduction(curves[0], curve, window))
-                for fraction, curve in zip(args.fractions, curves)]
+    curves = [aggregate_load(run(scenario)) for scenario in scenarios]
+    rows = [(fraction, window_mean(curve, window), peak_reduction(curves[0], curve, window))
+            for fraction, curve in zip(args.fractions, curves)]
+    with _io_failure("cannot write outputs"):
         out_dir = os.path.dirname(args.out)
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
@@ -301,21 +260,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             writer.writerow(("experienced_fraction", "peak_window_mean_watts", "peak_reduction"))
             for fraction, peak_mean, reduction in rows:
                 writer.writerow((f"{fraction:.2f}", f"{peak_mean:.3f}", f"{reduction:.6f}"))
-    except ValueError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except MemoryError as exc:
-        print(f"cannot allocate the run: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_IO
 
     print(f"window {window[0]}-{window[1]}, seed {scenarios[0].config.seed}")
     print("fraction  peak window mean (W)  reduction")
     for fraction, peak_mean, reduction in rows:
         print(f"{fraction:>8.2f}  {peak_mean:>20.0f}  {reduction:>9.2%}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+        return EXIT_OK
+    except ScenarioValidationError as exc:
+        code, message = EXIT_INVALID, str(exc)
+    except BadCurve as exc:
+        code, message = EXIT_INVALID, f"{type(exc).__name__}: {exc}"
+    except IOFailure as exc:
+        code, message = EXIT_IO, str(exc)
+    except MemoryError as exc:
+        code, message = EXIT_IO, f"cannot allocate the run: {str(exc) or 'out of memory'}"
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -228,14 +228,14 @@ class _Group:
     are the day's two times and column 2 + c*(slots+2) starts the draws of
     the chunk's tick c.  A chunk is chunk ticks long, the day's last one
     possibly shorter.  tick_draws receives the current tick's draws with
-    one column per agent (slots+2 rows, as behavior reads them).  on_count
-    counts the group's agents that have each appliance slot on.  The arrays
+    one column per agent (slots+2 rows, as behavior reads them).  The arrays
     below run over the group's agents in id order (home and the times have
     no other copy; the rest are set wherever the engine changes an agent):
 
         leave_at, return_at   today's leave and return minute
         home                  whether the agent is at home
-        on                    AgentState.appliance_on, slot-major (slots x agents)
+        on                    AgentState.appliance_on, slot-major (slots x agents);
+                              each tick's load counts the on slots here
         influenced            learning is not None
         experienced           learning is experienced
 
@@ -246,7 +246,7 @@ class _Group:
 
     __slots__ = (
         "rt", "agents", "gens", "chunk", "ticks_per_day", "draws", "tick_draws",
-        "on_count", "leave_at", "return_at", "home", "on", "influenced",
+        "leave_at", "return_at", "home", "on", "influenced",
         "experienced", "flip", "switch", "coin", "spare", "spare_slots",
     )
 
@@ -265,7 +265,6 @@ class _Group:
         pages = mmap.mmap(-1, 8 * max(1, count * width))
         self.draws = np.frombuffer(pages, np.float64, count * width).reshape(count, width)
         self.tick_draws = np.empty((slots + 2, count))
-        self.on_count = [0] * slots
         self.home = np.ones(count, dtype=bool)
         self.on = np.zeros((slots, count), dtype=bool)
         self.influenced = seeded.copy()
@@ -453,7 +452,6 @@ class Simulation:
             rt = group.rt
             visit = group.decide(tick_in_day, now, bucket, in_peak)
             agents = group.agents
-            on_count = group.on_count
             experienced = group.experienced
             tick_draws = group.tick_draws
             # the switched slots of every visited agent in (agent, slot)
@@ -470,7 +468,7 @@ class Simulation:
                     step_presence(agent, home, tick_index, events)
                 if n_switched:
                     last = first + n_switched
-                    appliance_tick(agent, rt, switched[first:last], on_count, tick_index, events)
+                    appliance_tick(agent, rt, switched[first:last], tick_index, events)
                     first = last
                 if coin:
                     before = agent.learning
@@ -479,7 +477,8 @@ class Simulation:
                     if agent.learning is not before:
                         learned.append(agent)
                         experienced[k] = agent.learning.experienced
-            load_terms.extend(map(operator.mul, rt.slot_powers, on_count))
+            load_terms.extend(map(operator.mul, rt.slot_powers,
+                                  np.count_nonzero(group.on, axis=1).tolist()))
         self.load_series.append(math.fsum(load_terms))
         for agent in learned:
             snapshot[agent.agent_id] = agent.learning

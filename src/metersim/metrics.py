@@ -4,6 +4,7 @@ A LoadCurve is a day profile: mean demand in watts per time-of-day bucket,
 averaged over every simulated day.  The canonical exchange format is a
 half hour curve (48 buckets) written as CSV with header
 "bucket_start_min,mean_watts", values to three decimals, LF line endings.
+Every refused curve or statistic raises BadCurve or a subclass of it.
 """
 
 from __future__ import annotations
@@ -20,19 +21,23 @@ from .engine import SimOutput
 CSV_HEADER = ("bucket_start_min", "mean_watts")
 
 
-class BadBucketError(ValueError):
+class BadCurve(ValueError):
+    """A curve, or a statistic asked of curves, that the metrics refuse."""
+
+
+class BadBucketError(BadCurve):
     """Bucket width incompatible with the day length or tick size."""
 
 
-class LengthMismatchError(ValueError):
+class LengthMismatchError(BadCurve):
     """Curves of different bucketing cannot be compared."""
 
 
-class DegenerateCurveError(ValueError):
+class DegenerateCurveError(BadCurve):
     """A constant curve has no defined correlation."""
 
 
-class ZeroBaseError(ValueError):
+class ZeroBaseError(BadCurve):
     """Relative reduction against a zero baseline is undefined."""
 
 
@@ -52,7 +57,7 @@ class LoadCurve:
                 f"expected {expected} buckets of {self.bucket_minutes} min, got {len(self.values)}"
             )
         if any(v < 0 or not math.isfinite(v) for v in self.values):
-            raise ValueError("curve values must be finite and non-negative")
+            raise BadCurve("curve values must be finite and non-negative")
 
 
 def aggregate_load(output: SimOutput, bucket_minutes: int = DEFAULT_BUCKET_MINUTES) -> LoadCurve:
@@ -115,7 +120,7 @@ def _window_slice(curve: LoadCurve, window: tuple[TimeOfDay, TimeOfDay]) -> list
         if start <= i * curve.bucket_minutes < end
     ]
     if not picked:
-        raise ValueError(f"window {window[0]}-{window[1]} covers no bucket")
+        raise BadCurve(f"window {window[0]}-{window[1]} covers no bucket")
     return picked
 
 
@@ -150,33 +155,39 @@ def write_load_curve(curve: LoadCurve, path: str) -> None:
 def read_load_curve(path: str) -> LoadCurve:
     """Read a curve CSV as written by write_load_curve.
 
-    Accepts any bucket count that divides the day evenly; raises ValueError
-    on malformed content.
+    Accepts any bucket count that divides the day evenly.  Malformed
+    content raises BadCurve with a message that starts with the path and,
+    where one line is at fault, its number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             rows = list(reader)
         except csv.Error as exc:  # such as a field past csv's size limit
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            raise BadCurve(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise BadCurve(f"{path}: {exc}") from exc
     if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
+        raise BadCurve(f"{path}: expected header {','.join(CSV_HEADER)}")
     starts: list[int] = []
     values: list[float] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 columns")
+            raise BadCurve(f"{path}:{lineno}: expected 2 columns")
         try:
             starts.append(int(row[0]))
             values.append(float(row[1]))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            raise BadCurve(f"{path}:{lineno}: {exc}") from exc
     if not values:
-        raise ValueError(f"{path}: no data rows")
+        raise BadCurve(f"{path}: no data rows")
     if MINUTES_PER_DAY % len(values) != 0:
-        raise ValueError(f"{path}: {len(values)} rows do not divide a day evenly")
+        raise BadCurve(f"{path}: {len(values)} rows do not divide a day evenly")
     bucket_minutes = MINUTES_PER_DAY // len(values)
     expected_starts = [i * bucket_minutes for i in range(len(values))]
     if starts != expected_starts:
-        raise ValueError(f"{path}: bucket_start_min column is not a uniform day grid")
-    return LoadCurve(bucket_minutes=bucket_minutes, values=tuple(values))
+        raise BadCurve(f"{path}: bucket_start_min column is not a uniform day grid")
+    try:
+        return LoadCurve(bucket_minutes=bucket_minutes, values=tuple(values))
+    except BadCurve as exc:
+        raise BadCurve(f"{path}: {exc}") from exc

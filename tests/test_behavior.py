@@ -93,12 +93,17 @@ def switch_row(agent, bucket, in_peak, rt, draws):
     return out[:, 0].tolist()
 
 
-def switch_round(agent, bucket, in_peak, rt, row, on_count, tick, events):
+def switch_round(agent, bucket, in_peak, rt, row, tick, events):
     """One switching round for one agent, as the engine runs it: the group
-    mask decides, appliance_tick applies the agent's row."""
+    mask decides and flips the group's on array, appliance_tick applies the
+    agent's row.  Returns the group's on count per slot."""
+    on = masks_of_one(agent, rt)[0]
     switches = switch_row(agent, bucket, in_peak, rt, column(row))
+    on[:, 0] ^= switches
     slots = [j for j, switch in enumerate(switches) if switch]
-    appliance_tick(agent, rt, slots, on_count, tick, events)
+    appliance_tick(agent, rt, slots, tick, events)
+    assert agent.appliance_on == on[:, 0].tolist()
+    return np.count_nonzero(on, axis=1).tolist()
 
 
 def coin_lands(agent, rt, draws):
@@ -294,9 +299,8 @@ def test_appliance_tick_switches_on_by_profile():
     rt, _ = build_runtime(tick=30)
     agent = make_agent()
     events = []
-    on_count = [0, 0]
-    switch_round(agent, bucket=10, in_peak=False, rt=rt,
-                 row=[0.49, 0.29], on_count=on_count, tick=3, events=events)
+    on_count = switch_round(agent, bucket=10, in_peak=False, rt=rt,
+                            row=[0.49, 0.29], tick=3, events=events)
     assert agent.appliance_on == [True, True]
     assert on_count == [1, 1] and watts(rt, on_count) == 300.0
     assert [(e.kind, e.detail) for e in events] == [
@@ -305,9 +309,8 @@ def test_appliance_tick_switches_on_by_profile():
 
     # draws at or above the propensities do nothing
     agent2 = make_agent()
-    on_count2 = [0, 0]
-    switch_round(agent2, bucket=10, in_peak=False, rt=rt,
-                 row=[0.5, 0.3], on_count=on_count2, tick=3, events=None)
+    on_count2 = switch_round(agent2, bucket=10, in_peak=False, rt=rt,
+                             row=[0.5, 0.3], tick=3, events=None)
     assert agent2.appliance_on == [False, False] and on_count2 == [0, 0]
 
 
@@ -316,22 +319,21 @@ def test_appliance_tick_peak_suppression_for_experienced():
     experienced = LearningState(30, True)
     agent = make_agent(learning=experienced)
     # shifter propensity drops 0.3 -> 0.15 inside the peak, heater untouched
-    on_count = [0, 0]
-    switch_round(agent, bucket=35, in_peak=True, rt=rt,
-                 row=[0.49, 0.29], on_count=on_count, tick=0, events=None)
+    on_count = switch_round(agent, bucket=35, in_peak=True, rt=rt,
+                            row=[0.49, 0.29], tick=0, events=None)
     assert agent.appliance_on == [True, False]
     assert watts(rt, on_count) == 100.0
 
     # inexperienced agents see no suppression
     naive = make_agent(learning=LearningState(1, False))
     switch_round(naive, bucket=35, in_peak=True, rt=rt,
-                 row=[0.49, 0.29], on_count=[0, 0], tick=0, events=None)
+                 row=[0.49, 0.29], tick=0, events=None)
     assert naive.appliance_on == [True, True]
 
     # outside the window the experienced agent behaves normally
     agent3 = make_agent(learning=experienced)
     switch_round(agent3, bucket=10, in_peak=False, rt=rt,
-                 row=[0.49, 0.29], on_count=[0, 0], tick=0, events=None)
+                 row=[0.49, 0.29], tick=0, events=None)
     assert agent3.appliance_on == [True, True]
 
 
@@ -339,9 +341,8 @@ def test_appliance_tick_doubles_deferrable_switch_off_in_peak():
     rt, _ = build_runtime(tick=30)
     agent = make_agent(learning=LearningState(30, True), on=[True, True])
     events = []
-    on_count = [1, 1]
-    switch_round(agent, bucket=35, in_peak=True, rt=rt,
-                 row=[0.6, 0.9], on_count=on_count, tick=0, events=events)
+    on_count = switch_round(agent, bucket=35, in_peak=True, rt=rt,
+                            row=[0.6, 0.9], tick=0, events=events)
     # heater keeps its 0.5 off rate (0.6 misses), shifter is pushed to 1.0
     assert agent.appliance_on == [True, False]
     assert on_count == [1, 0] and watts(rt, on_count) == 300.0 - 200.0
@@ -399,15 +400,14 @@ def test_each_operation_reads_only_its_row_positions():
 def test_appliance_tick_flips_exactly_the_marked_slots():
     rt, _ = build_runtime(tick=30)
     agent = make_agent(on=[True, False])
-    on_count = [3, 1]
     events = []
-    appliance_tick(agent, rt, [0, 1], on_count, 4, events)
-    assert agent.appliance_on == [False, True] and on_count == [2, 2]
+    appliance_tick(agent, rt, [0, 1], 4, events)
+    assert agent.appliance_on == [False, True]
     assert [(e.tick, e.kind, e.detail) for e in events] == [
         (4, SWITCHED_OFF, "heater#0"), (4, SWITCHED_ON, "shifter#0"),
     ]
-    appliance_tick(agent, rt, [1], on_count, 5, None)
-    assert agent.appliance_on == [False, False] and on_count == [2, 1]
+    appliance_tick(agent, rt, [1], 5, None)
+    assert agent.appliance_on == [False, False]
 
 
 def test_masks_match_a_scalar_reading_of_the_rules():

@@ -18,7 +18,7 @@ from metersim.cli import main
 from metersim.domain import DEFAULT_PEAK_WINDOW, load_scenario, validate_scenario
 from metersim.engine import run
 from metersim.metrics import (
-    LoadCurve, aggregate_load, peak_reduction, read_load_curve, window_mean, write_load_curve,
+    BadCurve, LoadCurve, aggregate_load, peak_reduction, read_load_curve, window_mean, write_load_curve,
 )
 
 from conftest import SAMPLE_PATH, child_env, tiny_doc
@@ -117,6 +117,46 @@ def test_sweep_too_large_for_memory_exits_1_and_leaves_nothing(
     captured = capsys.readouterr()
     assert captured.err == "cannot allocate the run: out of memory\n"
     assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_network_stats_too_large_for_memory_exits_1(tiny_config, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate_small_world", refuse_to_allocate)
+    assert main(["network-stats", "--config", tiny_config()]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("cannot allocate the run: Unable to allocate 74.5 GiB "
+                            "for an array with shape (10000000000,)\n")
+    assert captured.out == ""
+
+
+def test_run_that_cannot_write_its_outputs_exits_1_and_leaves_nothing(
+        tiny_config, tmp_path, capsys, monkeypatch):
+    def disk_full(curve, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_load_curve", disk_full)
+    out = tmp_path / "o" / "deep" / "run"
+    assert main(["run", "--config", tiny_config(), "--out", str(out), "--events"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "cannot write outputs: [Errno 28] No space left on device\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_engine_value_error_is_a_traceback_not_a_refusal(
+        tiny_config, tmp_path, capsys, monkeypatch, command):
+    """Only the validator's and the metrics' refusals exit 2: a ValueError
+    from the engine is a bug, and run still removes what it wrote."""
+    def broken(*args, **kwargs):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(cli, "Simulation" if command == "run" else "run", broken)
+    out = tmp_path / "o" / "out"
+    args = ["--events"] if command == "run" else ["--fractions", "0.0,0.5"]
+    with pytest.raises(ValueError, match="engine bug"):
+        main([command, "--config", tiny_config(), "--out", str(out), *args])
+    assert capsys.readouterr().err == ""
     assert not (tmp_path / "o").exists()
 
 
@@ -383,7 +423,7 @@ def test_run_fractional_wattages_give_a_non_negative_curve(tmp_path):
 
 def test_run_reports_a_bad_curve_instead_of_a_traceback(tiny_config, tmp_path, capsys, monkeypatch):
     def refuse(output, bucket_minutes):
-        raise ValueError("curve values must be finite and non-negative")
+        raise BadCurve("curve values must be finite and non-negative")
 
     monkeypatch.setattr(cli, "aggregate_load", refuse)
     out = tmp_path / "o"
@@ -395,7 +435,7 @@ def test_run_reports_a_bad_curve_instead_of_a_traceback(tiny_config, tmp_path, c
 def test_run_with_events_reports_a_bad_curve_and_leaves_no_outputs(
         tiny_config, tmp_path, capsys, monkeypatch):
     def refuse(output, bucket_minutes):
-        raise ValueError("curve values must be finite and non-negative")
+        raise BadCurve("curve values must be finite and non-negative")
 
     monkeypatch.setattr(cli, "aggregate_load", refuse)
     out = tmp_path / "o" / "run"
@@ -511,6 +551,30 @@ def test_compare_reports_a_line_past_the_csv_field_limit_as_a_bad_curve(tmp_path
     captured = capsys.readouterr()
     assert captured.err == f"BadCurve: {deep}:1: field larger than field limit (131072)\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+    (b"bucket_start_min,mean_watts\n0,1e999\n", "curve values must be finite and non-negative"),
+], ids=["not-utf-8", "infinite"])
+def test_compare_names_the_bad_curve_file(tiny_config, tmp_path, capsys, content, message):
+    curve_path = run_tiny_and_get_curve(tiny_config, tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert main(["compare", str(curve_path), str(bad)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"BadCurve: {bad}")
+    assert message in lines[0]
+    assert captured.out == ""
+
+
+def test_compare_reports_a_window_that_covers_no_bucket(tiny_config, tmp_path, capsys):
+    curve_path = run_tiny_and_get_curve(tiny_config, tmp_path)
+    capsys.readouterr()
+    assert main(["compare", str(curve_path), str(curve_path), "--window", "00:10-00:20"]) == 2
+    assert capsys.readouterr().err == "BadCurve: window 00:10-00:20 covers no bucket\n"
 
 
 def test_network_stats(tiny_config, capsys):

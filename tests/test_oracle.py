@@ -7,6 +7,8 @@ the same event tuple, and after every tick its group arrays must agree with
 the agents' own fields.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,8 +89,11 @@ def assert_groups_mirror_agents(sim):
         assert group.influenced.tolist() == [a.learning is not None for a in agents]
         assert group.experienced.tolist() == [
             a.learning is not None and a.learning.experienced for a in agents]
-        assert group.on_count == [sum(slot) for slot in group.on.tolist()]
     assert sim._snapshot == [a.learning for a in sim.agents]
+    # the tick's load counts exactly the slots the agents have on
+    assert sim.load_series[-1] == math.fsum(
+        power * sum(a.appliance_on[j] for a in group.agents)
+        for group in sim._groups for j, power in enumerate(group.rt.slot_powers))
 
 
 def assert_engine_matches_reference(doc):
