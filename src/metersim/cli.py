@@ -122,7 +122,15 @@ def cmd_run(args: argparse.Namespace) -> None:
     while not os.path.exists(parent):
         made.append(parent)
         parent = os.path.dirname(parent)
-    events_path = os.path.join(args.out, "events.csv")
+    opened = []  # the output files the run has opened
+
+    def create(name: str):
+        """Open output file name for writing and note it as opened."""
+        path = os.path.join(args.out, name)
+        fh = open(path, "w", encoding="utf-8", newline="")
+        opened.append(path)
+        return fh
+
     events_file = None
     events_rows = 0
 
@@ -137,7 +145,7 @@ def cmd_run(args: argparse.Namespace) -> None:
             # before the first tick
             os.makedirs(args.out, exist_ok=True)
             if args.events:
-                events_file = open(events_path, "w", encoding="utf-8", newline="")
+                events_file = create("events.csv")
             with events_file or contextlib.nullcontext():
                 if args.events:
                     events_file.write("tick,agent_id,kind,detail\n")
@@ -151,10 +159,12 @@ def cmd_run(args: argparse.Namespace) -> None:
             curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
 
             files = ["loadcurve.csv", "adoption.csv"] + (["events.csv"] if args.events else [])
+            # opened here first, so that a failure removes it only once the
+            # run has opened it; write_load_curve opens it again by its path
+            create("loadcurve.csv").close()
             write_load_curve(curve, os.path.join(args.out, "loadcurve.csv"))
 
-            adoption_path = os.path.join(args.out, "adoption.csv")
-            with open(adoption_path, "w", encoding="utf-8", newline="") as fh:
+            with create("adoption.csv") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(("day", "uninfluenced", "inexperienced", "experienced"))
                 for day, row in enumerate(output.adoption_series):
@@ -179,14 +189,15 @@ def cmd_run(args: argparse.Namespace) -> None:
             peak_rss_mb = _peak_rss_mb()
             if peak_rss_mb is not None:
                 manifest["peak_rss_mb"] = peak_rss_mb
-            with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+            with create("manifest.json") as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
     except BaseException:
-        # a failed run leaves neither the streamed log nor a directory it made
+        # a failed run leaves no file it opened and no directory it made
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         with contextlib.suppress(OSError):
-            if events_file is not None:
-                os.remove(events_path)
             for directory in made:
                 os.rmdir(directory)
         raise

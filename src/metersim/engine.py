@@ -171,23 +171,24 @@ def agent_seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
 
 
 class _Seeded(ISeedSequence):
-    """A seed source that hands PCG64 state words computed beforehand."""
+    """A seed source that hands each PCG64 seeded from it the next row of
+    state words computed beforehand, so a group's generators share one."""
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self.rows = iter(words)
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         if n_words != _PCG64_WORDS or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"only {_PCG64_WORDS} uint64 words are held, "
+            raise ValueError(f"only rows of {_PCG64_WORDS} uint64 words are held, "
                              f"not {n_words} of {np.dtype(dtype)}")
-        return self.words
+        return next(self.rows)
 
 
 def agent_streams(seed: int, first: int, count: int) -> list[np.random.Generator]:
     """substream(seed, STREAM_AGENT, i) for ids first .. first+count-1:
     the same states, from one hash over all the ids."""
-    words = agent_seed_words(seed, np.arange(first, first + count, dtype=np.uint64))
-    return [np.random.Generator(np.random.PCG64(_Seeded(row))) for row in words]
+    seeded = _Seeded(agent_seed_words(seed, np.arange(first, first + count, dtype=np.uint64)))
+    return [np.random.Generator(np.random.PCG64(seeded)) for _ in range(count)]
 
 
 def apportion(total: int, weights: tuple[tuple[str, float], ...]) -> list[int]:
@@ -261,8 +262,14 @@ class _Group:
         width = 2 + self.chunk * (slots + 2)
         # pages of its own, unmapped when it is freed: malloc would put it in
         # the heap once one matrix has been freed, and later allocations split
-        # the hole it leaves there, so the next one no longer fits
-        pages = mmap.mmap(-1, 8 * max(1, count * width))
+        # the hole it leaves there, so the next one no longer fits.  The
+        # first fill writes every page, so they are faulted in at once where
+        # the platform can (Windows mmap takes no flags)
+        size = 8 * max(1, count * width)
+        if hasattr(mmap, "MAP_POPULATE"):
+            pages = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_POPULATE)
+        else:
+            pages = mmap.mmap(-1, size)
         self.draws = np.frombuffer(pages, np.float64, count * width).reshape(count, width)
         self.tick_draws = np.empty((slots + 2, count))
         self.home = np.ones(count, dtype=bool)

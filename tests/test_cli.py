@@ -143,6 +143,35 @@ def test_run_that_cannot_write_its_outputs_exits_1_and_leaves_nothing(
     assert not (tmp_path / "o").exists()
 
 
+def test_run_that_fails_after_writing_leaves_no_output(tiny_config, tmp_path, capsys, monkeypatch):
+    """A failure once loadcurve.csv, adoption.csv and events.csv are written
+    removes them, the manifest it was writing, and the directories."""
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", disk_full)
+    out = tmp_path / "o" / "deep"
+    assert main(["run", "--config", tiny_config(), "--out", str(out), "--events"]) == 1
+    assert capsys.readouterr().err == "cannot write outputs: [Errno 28] No space left on device\n"
+    assert not out.exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_failed_run_leaves_files_it_did_not_open(tiny_config, tmp_path, monkeypatch):
+    """Only what the run opened goes: an earlier file in --out that the
+    run had not reached stays."""
+    def disk_full(curve, path):
+        raise OSError(28, "No space left on device")
+
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("earlier\n")
+    monkeypatch.setattr(cli, "write_load_curve", disk_full)
+    assert main(["run", "--config", tiny_config(), "--out", str(out), "--events"]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert (out / "manifest.json").read_text() == "earlier\n"
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_an_engine_value_error_is_a_traceback_not_a_refusal(
         tiny_config, tmp_path, capsys, monkeypatch, command):
@@ -595,7 +624,10 @@ def test_network_stats_rejects_bad_degree(tiny_config, capsys):
 
 def test_network_stats_sample_config(sample_path, capsys):
     assert main(["network-stats", "--config", sample_path]) == 0
-    row = capsys.readouterr().out.splitlines()[1].split(",")
+    line = capsys.readouterr().out.splitlines()[1]
+    # the sample's graph, byte for byte as the scalar rewiring loop built it
+    assert line == "1000,2000,4.000000,0.371433,8.732000"
+    row = line.split(",")
     assert row[0] == "1000" and row[1] == "2000"
     assert float(row[2]) == pytest.approx(4.0)
     assert float(row[3]) > 0.3          # beta=0.1 keeps most triangles

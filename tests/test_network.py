@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import deque
 
@@ -13,7 +14,10 @@ from metersim.network import (
     generate_small_world,
     mean_path_length_sampled,
     Network,
+    _highest_landing,
+    _Outputs,
 )
+from reference_network import reference_small_world
 
 
 def rng(seed=0):
@@ -95,6 +99,98 @@ def test_full_rewire_leaves_lattice_behind():
         1 for i in range(400) for off in (1, 2) if (i + off) % 400 in net.adjacency[i]
     )
     assert lattice_edges < 800
+
+
+def adjacency_digest(net):
+    text = "\n".join(",".join(map(str, nbrs)) for nbrs in net.adjacency)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# recorded from the scalar rewiring loop (K 4, beta 0.1)
+@pytest.mark.parametrize("n,seed,digest", [
+    (1000, 42, "6cdfda8bcb81355a4794c621d4fea2a2563833d3cf7975840ecc2e8d9662f6f1"),
+    (1000, 6001, "ccec1d6f925b7410164711b5a011a359e9423f8104d1486ce38ff389fdc51573"),
+    (5000, 7, "27f4ad39013ea5dddcd48d9c19548c3150763bc5be5481afedaff34b8eed6918"),
+    (10000, 7, "9f1c0ecfe057e2d909887c165b11018ebec343f613364bad469da7ad18c3a0eb"),
+])
+def test_network_stream_gives_the_recorded_graph(n, seed, digest):
+    net = generate_small_world(n, 4, 0.1, substream(seed, STREAM_NETWORK))
+    assert adjacency_digest(net) == digest
+
+
+def pcg64(seed, cached_half):
+    """A generator at seed, holding cached_half as PCG64's spare 32 bits
+    unless it is None."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    if cached_half is not None:
+        state = gen.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, cached_half
+        gen.bit_generator.state = state
+    return gen
+
+
+def sparse_graphs():
+    return st.integers(3, 2000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, min(n - 1, 10) // 2).map(lambda h: 2 * h)))
+
+
+def dense_graphs():
+    # every even K below n, the complete graph K = n - 1 included; where
+    # few nodes are free, an endpoint takes about n draws, so n stays small
+    return st.integers(3, 60).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, (n - 1) // 2).map(lambda h: 2 * h)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    graph=sparse_graphs() | dense_graphs(),
+    beta=st.sampled_from([1e-3, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**64 - 1),
+    cached_half=st.none() | st.integers(0, 2**32 - 1),
+)
+def test_bulk_build_is_the_scalar_loop(graph, beta, seed, cached_half):
+    """Same graph, and the generator left in the same state, spare half
+    included."""
+    n, k = graph
+    bulk, scalar = pcg64(seed, cached_half), pcg64(seed, cached_half)
+    assert generate_small_world(n, k, beta, bulk) == reference_small_world(n, k, beta, scalar)
+    assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2, 3, 5000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 10**10])
+@pytest.mark.parametrize("cached_half", [None, 2**32 - 1])
+def test_bounded_draw_is_numpy_integers(n, cached_half):
+    """_Outputs.integer(n) reads the outputs as Generator.integers(0, n)
+    does, and whole outputs as Generator.random() does, in any order."""
+    gen = pcg64(5, cached_half)
+    out = _Outputs(pcg64(5, cached_half).bit_generator, 3)
+    ops = np.random.default_rng(n).integers(0, 3, size=400)
+    for op in ops:
+        if op:
+            assert out.integer(n) == gen.integers(0, n)
+        else:
+            assert (out.next64() >> 11) * 2.0**-53 == gen.random()
+    out.leave()
+    assert out.bitgen.state == gen.bit_generator.state
+
+
+def coin(output):
+    return (output >> 11) * 2.0**-53
+
+
+@settings(max_examples=500, deadline=None)
+@given(beta=st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([5e-324, 2.0**-53, 1e-3, 0.1, 0.5, 1.0]))
+def test_an_output_lands_exactly_when_its_random_coin_is_below_beta(beta):
+    highest = int(_highest_landing(beta))
+    assert coin(highest) < beta
+    assert highest == 2**64 - 1 or coin(highest + 1) >= beta
+    assert coin(0) < beta
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM])
+def test_network_stream_must_be_pcg64(bit_generator):
+    with pytest.raises(TypeError):
+        generate_small_world(10, 2, 0.1, np.random.Generator(bit_generator(1)))
 
 
 def test_mean_path_length_ring_is_exact_for_small_graphs():

@@ -83,10 +83,28 @@ def test_streams_equal_substream_state_for_state(seed, first, count):
     (4, np.uint32), (4, np.int64), (2, np.uint64), (8, np.uint64), (8, np.uint32),
 ])
 def test_seeded_hands_out_only_four_uint64_words(n_words, dtype):
-    seeded = _Seeded(agent_seed_words(0, np.arange(1, dtype=np.uint64))[0])
+    """Each request for four uint64 words takes the next row; any other
+    request is refused and takes none."""
+    seeded = _Seeded(agent_seed_words(0, np.arange(2, dtype=np.uint64)))
     with pytest.raises(ValueError):
         seeded.generate_state(n_words, dtype)
     assert seeded.generate_state(4, np.uint64).tolist() == numpy_words(0, 0).tolist()
+    with pytest.raises(ValueError):
+        seeded.generate_state(n_words, dtype)
+    assert seeded.generate_state(4, np.uint64).tolist() == numpy_words(0, 1).tolist()
+
+
+def test_a_group_shares_one_seed_source(monkeypatch):
+    made = []
+
+    class Counted(_Seeded):
+        def __init__(self, words):
+            made.append(len(words))
+            super().__init__(words)
+
+    monkeypatch.setattr(engine, "_Seeded", Counted)
+    assert len(agent_streams(7101, 0, 3)) == 3
+    assert made == [3]
 
 
 @pytest.mark.parametrize("population", [50, 5000])
