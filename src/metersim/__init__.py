@@ -7,7 +7,6 @@ from .domain import (
     AgentState,
     ApplianceSpec,
     ArchetypeSpec,
-    LearningState,
     Scenario,
     ScenarioConfig,
     ScenarioValidationError,
@@ -16,7 +15,7 @@ from .domain import (
     validate_scenario,
 )
 from .engine import SimOutput, Simulation, run
-from .learning import LearningParams, adoption_probability, trials_to_threshold
+from .learning import LearningParams, LearningState, adoption_probability, trials_to_threshold
 from .metrics import LoadCurve, aggregate_load, peak_reduction, peak_stats, pearson_correlation
 from .network import Network, clustering_coefficient, generate_small_world
 

@@ -63,6 +63,40 @@ def _io_failure(what: str):
         raise IOFailure(f"{what}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _outputs(directory: str):
+    """Make directory and its missing parents, and yield create(name), which
+    opens the file name in directory for writing.  An OSError in the block
+    is raised as IOFailure("cannot write outputs: error"); whatever the
+    block raises, every file create opened and every directory made here
+    is removed first."""
+    made = []  # the directories added, innermost first
+    parent = os.path.abspath(directory)
+    while not os.path.exists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    opened = []
+
+    def create(name: str):
+        path = os.path.join(directory, name)
+        fh = open(path, "w", encoding="utf-8", newline="")
+        opened.append(path)
+        return fh
+
+    try:
+        with _io_failure("cannot write outputs"):
+            os.makedirs(directory, exist_ok=True)
+            yield create
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        with contextlib.suppress(OSError):
+            for path in made:
+                os.rmdir(path)
+        raise
+
+
 def event_rows(events: list[AgentEvent]) -> str:
     """The events as lines of events.csv.
 
@@ -117,20 +151,6 @@ def cmd_run(args: argparse.Namespace) -> None:
     scenario = _load_scenario(args)
 
     started = time.monotonic()
-    made = []  # the directories --out adds, innermost first
-    parent = os.path.abspath(args.out)
-    while not os.path.exists(parent):
-        made.append(parent)
-        parent = os.path.dirname(parent)
-    opened = []  # the output files the run has opened
-
-    def create(name: str):
-        """Open output file name for writing and note it as opened."""
-        path = os.path.join(args.out, name)
-        fh = open(path, "w", encoding="utf-8", newline="")
-        opened.append(path)
-        return fh
-
     events_file = None
     events_rows = 0
 
@@ -139,68 +159,57 @@ def cmd_run(args: argparse.Namespace) -> None:
         events_rows += len(events)
         events_file.write(event_rows(events))
 
-    try:
-        with _io_failure("cannot write outputs"):
-            # events.csv is written as the run goes, so a bad --out is found
-            # before the first tick
-            os.makedirs(args.out, exist_ok=True)
+    # events.csv is written as the run goes, so a bad --out is found
+    # before the first tick
+    with _outputs(args.out) as create:
+        if args.events:
+            events_file = create("events.csv")
+        with events_file or contextlib.nullcontext():
             if args.events:
-                events_file = create("events.csv")
-            with events_file or contextlib.nullcontext():
-                if args.events:
-                    events_file.write("tick,agent_id,kind,detail\n")
-                sim = Simulation(scenario, event_sink=write_events if args.events else None)
-                built = time.monotonic()
-                output = sim.run_all()
-                ran = time.monotonic()
-            # the agents and network are dead once the output is built; held
-            # through the writing below they raise the peak memory
-            del sim
-            curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
+                events_file.write("tick,agent_id,kind,detail\n")
+            sim = Simulation(scenario, event_sink=write_events if args.events else None)
+            built = time.monotonic()
+            output = sim.run_all()
+            ran = time.monotonic()
+        # the agents and network are dead once the output is built; held
+        # through the writing below they raise the peak memory
+        del sim
+        curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
 
-            files = ["loadcurve.csv", "adoption.csv"] + (["events.csv"] if args.events else [])
-            # opened here first, so that a failure removes it only once the
-            # run has opened it; write_load_curve opens it again by its path
-            create("loadcurve.csv").close()
-            write_load_curve(curve, os.path.join(args.out, "loadcurve.csv"))
+        files = ["loadcurve.csv", "adoption.csv"] + (["events.csv"] if args.events else [])
+        # opened here first, so that a failure removes it only once the
+        # run has opened it; write_load_curve opens it again by its path
+        create("loadcurve.csv").close()
+        write_load_curve(curve, os.path.join(args.out, "loadcurve.csv"))
 
-            with create("adoption.csv") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(("day", "uninfluenced", "inexperienced", "experienced"))
-                for day, row in enumerate(output.adoption_series):
-                    writer.writerow((day, *row))
+        with create("adoption.csv") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("day", "uninfluenced", "inexperienced", "experienced"))
+            for day, row in enumerate(output.adoption_series):
+                writer.writerow((day, *row))
 
-            manifest = {
-                "scenario_path": os.path.abspath(args.config),
-                "seed": output.seed,
-                "out_dir": os.path.abspath(args.out),
-                "files": files,
-                "engine_version": __version__,
-                "setup_seconds": round(built - started, 3),
-                "tick_seconds": round(ran - built, 3),
-                "duration_seconds": round(time.monotonic() - started, 3),
-            }
-            if ran > built:
-                config = scenario.config
-                agent_ticks = config.population * config.horizon_days * config.ticks_per_day
-                manifest["agent_ticks_per_s"] = round(agent_ticks / (ran - built))
-            if args.events:
-                manifest["events_rows"] = events_rows
-            peak_rss_mb = _peak_rss_mb()
-            if peak_rss_mb is not None:
-                manifest["peak_rss_mb"] = peak_rss_mb
-            with create("manifest.json") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    except BaseException:
-        # a failed run leaves no file it opened and no directory it made
-        for path in opened:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        with contextlib.suppress(OSError):
-            for directory in made:
-                os.rmdir(directory)
-        raise
+        manifest = {
+            "scenario_path": os.path.abspath(args.config),
+            "seed": output.seed,
+            "out_dir": os.path.abspath(args.out),
+            "files": files,
+            "engine_version": __version__,
+            "setup_seconds": round(built - started, 3),
+            "tick_seconds": round(ran - built, 3),
+            "duration_seconds": round(time.monotonic() - started, 3),
+        }
+        if ran > built:
+            config = scenario.config
+            agent_ticks = config.population * config.horizon_days * config.ticks_per_day
+            manifest["agent_ticks_per_s"] = round(agent_ticks / (ran - built))
+        if args.events:
+            manifest["events_rows"] = events_rows
+        peak_rss_mb = _peak_rss_mb()
+        if peak_rss_mb is not None:
+            manifest["peak_rss_mb"] = peak_rss_mb
+        with create("manifest.json") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     time_of_peak, peak_watts = peak_stats(curve)
     print(f"seed={output.seed}")
@@ -262,11 +271,8 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     curves = [aggregate_load(run(scenario)) for scenario in scenarios]
     rows = [(fraction, window_mean(curve, window), peak_reduction(curves[0], curve, window))
             for fraction, curve in zip(args.fractions, curves)]
-    with _io_failure("cannot write outputs"):
-        out_dir = os.path.dirname(args.out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with _outputs(os.path.dirname(args.out) or os.curdir) as create:
+        with create(os.path.basename(args.out)) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("experienced_fraction", "peak_window_mean_watts", "peak_reduction"))
             for fraction, peak_mean, reduction in rows:

@@ -15,6 +15,8 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Mapping
 
+from .learning import LearningParams, LearningState, trials_to_threshold
+
 MINUTES_PER_DAY = 1440
 PROFILE_BUCKETS = 48  # half hour switch-on propensity buckets
 DEFAULT_BUCKET_MINUTES = 30  # the load curve run writes; a tick must divide it
@@ -98,22 +100,6 @@ class ArchetypeSpec:
     learning_rate_k: float
     max_attainable_M: float
     appliances: tuple[tuple[str, int], ...]  # (appliance id, count)
-
-
-@dataclass(frozen=True, slots=True)
-class LearningState:
-    """Per agent learning progress once influenced.
-
-    trials_t counts reinforced trials; experienced flips (and stays) true
-    once the learning curve value reaches the adoption threshold.
-    """
-
-    trials_t: int
-    experienced: bool
-
-    def __post_init__(self) -> None:
-        if self.trials_t < 0:
-            raise ValueError("trials_t must be non-negative")
 
 
 @dataclass(slots=True)
@@ -493,7 +479,6 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
         # pre-seeded agents start at the trial count that reaches the
         # threshold, so there must be one
         if config.initial_experienced_fraction > 0:
-            from .learning import LearningParams, trials_to_threshold  # learning imports this module
             for arch in archetypes:
                 in_mix = any(a == arch.id and f > 0 for a, f in config.archetype_mix)
                 params = LearningParams(arch.max_attainable_M, arch.learning_rate_k, config.p_threshold)

@@ -39,18 +39,18 @@ once per group and with numpy over the group's arrays (see behavior):
     coin    chat_coins: which influenced at-home agents chat
 
 and visits only the agents with a flip, a switch or a landed coin, in
-ascending id order.  For each visited agent it calls step_presence,
-appliance_tick (with the agent's switched slots) and maybe_interact, each
-only where its mask is set and in that order, so the events come out in the
-order of a loop over every agent.  Peer interactions read donor learning
-states from a snapshot that is updated where learning changes, at the day
-boundary and after each tick, so outcomes do not depend on the visit
-order.  The tick then appends the population load sample in watts: the
-exactly rounded sum of power times the number of agents with the slot on,
-over every group's slots, so it is never negative and does not depend on
-the order in which agents switched.  Finally it hands the tick's events, in
-order, to the run's event sink in one call, so a run holds at most one
-tick's events.
+ascending id order; the masks live only for that tick.  For each visited
+agent it calls step_presence, appliance_tick (with the agent's switched
+slots) and maybe_interact, each only where its mask is set and in that
+order, so the events come out in the order of a loop over every agent.
+Peer interactions read donor learning states from a snapshot that is
+updated where learning changes, at the day boundary and after each tick,
+so outcomes do not depend on the visit order.  The tick then appends the
+population load sample in watts: the exactly rounded sum of power times
+the number of agents with the slot on, over every group's slots, so it is
+never negative and does not depend on the order in which agents switched.
+Finally it hands the tick's events, in order, to the run's event sink in
+one call, so a run holds at most one tick's events.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ from .behavior import (
     step_presence,
     switch_mask,
 )
-from .domain import AgentState, LearningState, Scenario
-from .learning import trials_to_threshold
+from .domain import AgentState, Scenario
+from .learning import LearningState, trials_to_threshold
 from .network import generate_small_world
 
 # substream spawn keys under the master seed
@@ -229,9 +229,10 @@ class _Group:
     are the day's two times and column 2 + c*(slots+2) starts the draws of
     the chunk's tick c.  A chunk is chunk ticks long, the day's last one
     possibly shorter.  tick_draws receives the current tick's draws with
-    one column per agent (slots+2 rows, as behavior reads them).  The arrays
-    below run over the group's agents in id order (home and the times have
-    no other copy; the rest are set wherever the engine changes an agent):
+    one column per agent (slots+2 rows, as behavior reads them).  Beside
+    them the group holds only agent state, in arrays that run over its
+    agents in id order (home and the times have no other copy; the rest are
+    set wherever the engine changes an agent):
 
         leave_at, return_at   today's leave and return minute
         home                  whether the agent is at home
@@ -240,15 +241,12 @@ class _Group:
         influenced            learning is not None
         experienced           learning is experienced
 
-    flip, switch (slot-major) and coin are the current tick's masks; the
-    spare arrays are scratch space, so a tick allocates no array of the
-    group's size.
+    The tick's masks are not kept: decide hands them back.
     """
 
     __slots__ = (
         "rt", "agents", "gens", "chunk", "ticks_per_day", "draws", "tick_draws",
-        "leave_at", "return_at", "home", "on", "influenced",
-        "experienced", "flip", "switch", "coin", "spare", "spare_slots",
+        "leave_at", "return_at", "home", "on", "influenced", "experienced",
     )
 
     def __init__(self, rt: ArchetypeRuntime, agents: list[AgentState],
@@ -276,12 +274,6 @@ class _Group:
         self.on = np.zeros((slots, count), dtype=bool)
         self.influenced = seeded.copy()
         self.experienced = seeded.copy()
-        self.flip = np.zeros(count, dtype=bool)
-        self.coin = np.zeros(count, dtype=bool)
-        self.spare = np.zeros(count, dtype=bool)
-        self.switch = np.zeros((slots, count), dtype=bool)
-        self.spare_slots = (np.zeros((slots, count), dtype=bool),
-                            np.zeros((slots, count), dtype=bool))
         self.start_day()
 
     def start_day(self) -> None:
@@ -300,9 +292,11 @@ class _Group:
         for gen, row in zip(self.gens, self.draws[:, 2:2 + ticks * (self.rt.n_slots + 2)]):
             gen.random(out=row)
 
-    def decide(self, tick_in_day: int, now: int, bucket: int, in_peak: bool) -> np.ndarray:
-        """Fill the tick's draws and masks and return the indices of the
-        agents that act, ascending."""
+    def decide(self, tick_in_day: int, now: int, bucket: int, in_peak: bool,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Fill the tick's draws, move home and flip the switched slots of
+        on; return the indices of the agents that act, ascending, and the
+        tick's masks flip, switch (slot-major) and coin."""
         rt = self.rt
         stride = rt.n_slots + 2
         chunk_tick = tick_in_day % self.chunk
@@ -311,16 +305,14 @@ class _Group:
         off = 2 + chunk_tick * stride
         u = self.tick_draws
         np.copyto(u, self.draws[:, off:off + stride].T)
-        presence_mask(self.leave_at, self.return_at, now, self.home, self.flip, self.spare)
-        switch_mask(rt, bucket, in_peak, u, self.on, self.home, self.experienced,
-                    self.switch, self.spare_slots)
-        chat_coins(rt, u, self.home, self.influenced, self.coin)
-        self.on ^= self.switch
-        acts = self.spare
-        np.logical_or.reduce(self.switch, axis=0, out=acts)
-        acts |= self.flip
-        acts |= self.coin
-        return np.flatnonzero(acts)
+        home = presence_mask(self.leave_at, self.return_at, now)
+        flip = home != self.home
+        self.home = home
+        switch = switch_mask(rt, bucket, in_peak, u, self.on, home, self.experienced)
+        coin = chat_coins(rt, u, home, self.influenced)
+        self.on ^= switch
+        acts = np.logical_or.reduce(switch, axis=0) | flip | coin
+        return np.flatnonzero(acts), flip, switch, coin
 
 
 @dataclass(frozen=True)
@@ -457,27 +449,27 @@ class Simulation:
         load_terms = []
         for group in self._groups:
             rt = group.rt
-            visit = group.decide(tick_in_day, now, bucket, in_peak)
+            visit, flip, switch, coin = group.decide(tick_in_day, now, bucket, in_peak)
             agents = group.agents
             experienced = group.experienced
             tick_draws = group.tick_draws
             # the switched slots of every visited agent in (agent, slot)
             # order, and how many belong to each agent
-            switch = group.switch[:, visit]
+            switch = switch[:, visit]
             switched = np.nonzero(switch.T)[1].tolist()
             first = 0
-            for k, flip, home, n_switched, coin in zip(
-                visit.tolist(), group.flip[visit].tolist(), group.home[visit].tolist(),
-                np.count_nonzero(switch, axis=0).tolist(), group.coin[visit].tolist(),
+            for k, moved, home, n_switched, chats in zip(
+                visit.tolist(), flip[visit].tolist(), group.home[visit].tolist(),
+                switch.sum(axis=0).tolist(), coin[visit].tolist(),
             ):
                 agent = agents[k]
-                if flip:
+                if moved:
                     step_presence(agent, home, tick_index, events)
                 if n_switched:
                     last = first + n_switched
                     appliance_tick(agent, rt, switched[first:last], tick_index, events)
                     first = last
-                if coin:
+                if chats:
                     before = agent.learning
                     maybe_interact(agent, adjacency[agent.agent_id], snapshot, rt,
                                    tick_draws[:, k].tolist(), tick_index, events)
@@ -485,15 +477,15 @@ class Simulation:
                         learned.append(agent)
                         experienced[k] = agent.learning.experienced
             load_terms.extend(map(operator.mul, rt.slot_powers,
-                                  np.count_nonzero(group.on, axis=1).tolist()))
+                                  group.on.sum(axis=1).tolist()))
         self.load_series.append(math.fsum(load_terms))
         for agent in learned:
             snapshot[agent.agent_id] = agent.learning
         self._bonus_taken += learned
 
         if tick_in_day == self.ticks_per_day - 1:
-            influenced = sum(int(np.count_nonzero(g.influenced)) for g in self._groups)
-            experienced_total = sum(int(np.count_nonzero(g.experienced)) for g in self._groups)
+            influenced = sum(int(g.influenced.sum()) for g in self._groups)
+            experienced_total = sum(int(g.experienced.sum()) for g in self._groups)
             self.adoption_series.append(
                 (len(self.agents) - influenced, influenced - experienced_total, experienced_total))
 

@@ -11,7 +11,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import LearningState
+
+@dataclass(frozen=True, slots=True)
+class LearningState:
+    """Per agent learning progress once influenced.
+
+    trials_t counts reinforced trials; experienced flips (and stays) true
+    once the learning curve value reaches the adoption threshold.
+    """
+
+    trials_t: int
+    experienced: bool
+
+    def __post_init__(self) -> None:
+        if self.trials_t < 0:
+            raise ValueError("trials_t must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,9 +25,9 @@ from metersim.behavior import (
     AgentEvent,
     ArchetypeRuntime,
 )
-from metersim.domain import LearningState, Scenario
+from metersim.domain import Scenario
 from metersim.engine import STREAM_AGENT, STREAM_NETWORK, STREAM_POPULATION, apportion, substream
-from metersim.learning import absorb_interaction, record_trial, trials_to_threshold
+from metersim.learning import LearningState, absorb_interaction, record_trial, trials_to_threshold
 from metersim.network import generate_small_world
 
 

@@ -25,7 +25,8 @@ from metersim.behavior import (
     step_presence,
     switch_mask,
 )
-from metersim.domain import AgentState, LearningState, validate_scenario
+from metersim.domain import AgentState, validate_scenario
+from metersim.learning import LearningState
 from metersim.engine import STREAM_AGENT, Simulation, run, substream
 
 from conftest import daily_times, tiny_doc
@@ -87,10 +88,7 @@ def switch_row(agent, bucket, in_peak, rt, draws):
     """The agent's row of switch_mask over a group of one, whose tick
     draws are the one column draws."""
     on, home, _, experienced = masks_of_one(agent, rt)
-    out = np.zeros_like(on)
-    switch_mask(rt, bucket, in_peak, draws, on, home, experienced, out,
-                (np.zeros_like(on), np.zeros_like(on)))
-    return out[:, 0].tolist()
+    return switch_mask(rt, bucket, in_peak, draws, on, home, experienced)[:, 0].tolist()
 
 
 def switch_round(agent, bucket, in_peak, rt, row, tick, events):
@@ -110,9 +108,7 @@ def coin_lands(agent, rt, draws):
     """chat_coins over a group of one, whose tick draws are the one
     column draws."""
     _, home, influenced, _ = masks_of_one(agent, rt)
-    out = np.zeros(1, dtype=bool)
-    chat_coins(rt, draws, home, influenced, out)
-    return bool(out[0])
+    return bool(chat_coins(rt, draws, home, influenced)[0])
 
 
 def chat_round(agent, neighbor_ids, snapshot, rt, row, tick, events):
@@ -123,15 +119,15 @@ def chat_round(agent, neighbor_ids, snapshot, rt, row, tick, events):
 
 def presence_round(agent, home, leave, ret, now, tick, events):
     """One presence round for a group of one, as the engine runs it:
-    presence_mask moves the home mask, and step_presence records the move
-    where flip is set.  Returns flip."""
-    before = home.copy()
-    flip = np.zeros(1, dtype=bool)
-    presence_mask(np.array([leave]), np.array([ret]), now, home, flip, np.zeros(1, dtype=bool))
-    assert flip[0] == (home[0] != before[0])
-    if flip[0]:
+    presence_mask gives the new home mask, which replaces home, and
+    step_presence records the move where it differs.  Returns whether it
+    did."""
+    moved = presence_mask(np.array([leave]), np.array([ret]), now)
+    flip = bool(moved[0] != home[0])
+    home[:] = moved
+    if flip:
         step_presence(agent, bool(home[0]), tick, events)
-    return bool(flip[0])
+    return flip
 
 
 def chat_row(rt, coin, pick):
@@ -411,22 +407,31 @@ def test_appliance_tick_flips_exactly_the_marked_slots():
 
 
 def test_masks_match_a_scalar_reading_of_the_rules():
-    """Over a group of agents in every state, switch_mask and chat_coins
-    agree with the rules read one agent and one slot at a time."""
+    """Over a group of agents in every state, presence_mask, switch_mask and
+    chat_coins agree with the rules read one agent and one slot at a time,
+    and leave every array they read as it was."""
     rt, _ = build_runtime(rate=0.5, tick=30)
     rng = np.random.default_rng(3)
     n = 400
+    leave_at = rng.integers(0, 1440, n)
+    return_at = leave_at + rng.integers(0, 720, n)
     u = rng.random((rt.n_slots + 2, n))
     on = rng.random((rt.n_slots, n)) < 0.5
     home = rng.random(n) < 0.7
     influenced = rng.random(n) < 0.6
     experienced = influenced & (rng.random(n) < 0.5)
+    inputs = (leave_at, return_at, u, on, home, influenced, experienced)
+    kept = [a.copy() for a in inputs]
+    for a in inputs:
+        a.setflags(write=False)
+    for now in (0, 600, 1439):
+        at_home = presence_mask(leave_at, return_at, now)
+        assert at_home.tolist() == [not (lo <= now < hi)
+                                    for lo, hi in zip(leave_at.tolist(), return_at.tolist())]
     for bucket, in_peak in [(10, False), (35, True)]:
-        switch = np.zeros_like(on)
-        switch_mask(rt, bucket, in_peak, u, on, home, experienced, switch,
-                    (np.zeros_like(on), np.zeros_like(on)))
-        coin = np.zeros(n, dtype=bool)
-        chat_coins(rt, u, home, influenced, coin)
+        switch = switch_mask(rt, bucket, in_peak, u, on, home, experienced)
+        coin = chat_coins(rt, u, home, influenced)
+        assert switch.shape == on.shape and coin.shape == home.shape
         for k in range(n):
             suppressed = in_peak and experienced[k]
             p_on = (rt.on_suppressed if suppressed else rt.on_normal)[bucket].tolist()
@@ -435,6 +440,8 @@ def test_masks_match_a_scalar_reading_of_the_rules():
                 p = p_off[j] if on[j, k] else p_on[j]
                 assert switch[j, k] == (bool(home[k]) and float(u[j, k]) < p)
             assert coin[k] == (bool(home[k] and influenced[k]) and float(u[2, k]) < rt.p_interact)
+    for a, copy in zip(inputs, kept):
+        assert np.array_equal(a, copy)
 
 
 def test_maybe_interact_no_influenced_neighbor():
@@ -468,8 +475,7 @@ def test_interaction_rate_matches_awareness_times_base_rate():
     events = []
     n = 200_000
     draws = gen.random((rt.n_slots + 2, n))
-    coin = np.zeros(n, dtype=bool)
-    chat_coins(rt, draws, np.ones(n, dtype=bool), np.ones(n, dtype=bool), coin)
+    coin = chat_coins(rt, draws, np.ones(n, dtype=bool), np.ones(n, dtype=bool))
     rows = draws.T.tolist()
     for t in np.flatnonzero(coin).tolist():
         maybe_interact(agent, (1,), snapshot, rt, rows[t], t, events)

@@ -172,6 +172,34 @@ def test_a_failed_run_leaves_files_it_did_not_open(tiny_config, tmp_path, monkey
     assert (out / "manifest.json").read_text() == "earlier\n"
 
 
+def test_a_sweep_that_cannot_write_its_rows_leaves_nothing(
+        tiny_config, tmp_path, capsys, monkeypatch):
+    """A write that fails after the header removes the CSV and the
+    directories the sweep made for it."""
+    writer = csv.writer
+
+    class FullDisk:
+        def __init__(self, fh, **kwargs):
+            self.rows = writer(fh, **kwargs)
+            self.written = 0
+
+        def writerow(self, row):
+            if self.written:
+                raise OSError(28, "No space left on device")
+            self.written += 1
+            return self.rows.writerow(row)
+
+    monkeypatch.setattr(cli.csv, "writer", FullDisk)
+    out = tmp_path / "new" / "deep" / "out.csv"
+    assert main(["sweep", "--config", tiny_config(), "--fractions", "0.0,0.5",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "cannot write outputs: [Errno 28] No space left on device\n"
+    assert captured.out == ""
+    assert not out.exists()
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_an_engine_value_error_is_a_traceback_not_a_refusal(
         tiny_config, tmp_path, capsys, monkeypatch, command):

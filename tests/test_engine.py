@@ -17,7 +17,7 @@ from metersim.behavior import (
     SWITCHED_ON,
 )
 from metersim import engine
-from metersim.domain import LearningState, TimeOfDay, load_scenario, validate_scenario
+from metersim.domain import TimeOfDay, load_scenario, validate_scenario
 from metersim.engine import (
     STREAM_AGENT,
     Simulation,
@@ -25,7 +25,7 @@ from metersim.engine import (
     run,
     substream,
 )
-from metersim.learning import trials_to_threshold
+from metersim.learning import LearningState, trials_to_threshold
 
 from conftest import daily_times, tiny_doc
 

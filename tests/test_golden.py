@@ -5,6 +5,8 @@
 42: the sample as it stands, and at 8 days with fractions 0.0 and 0.9.  Seed and fraction go through
 the CLI overrides, so a change to the engine, the validator or the
 override path that moves a single output byte fails here.  `metersim
+sweep` on the sample at fractions 0.0, 0.3 and 0.9 holds the paper's
+headline figure, the peak window reduction, to its CSV.  `metersim
 network-stats` on the sample at seeds 42-46 and at 5 000 households holds
 the network summary, path length included, to its printed line.  A change
 that means to alter outputs must say so and record the new values.
@@ -131,6 +133,21 @@ def test_golden_output_hashes_over_days(sample_path, tmp_path, capsys, horizon, 
     assert code == 0, capsys.readouterr().err
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS)
     assert digests == GOLDEN_DAYS[(horizon, fraction)]
+
+
+# SHA-256 of the sweep CSV at seed 42, and its peak_reduction column
+GOLDEN_SWEEP = "4bc512ee3afd087c8201affc41d93db24649b0bee358c18ef0b3c91cc639428b"
+GOLDEN_SWEEP_REDUCTIONS = ["0.000000", "0.074304", "0.216482"]
+
+
+def test_golden_sweep(sample_path, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", sample_path, "--fractions", "0.0,0.3,0.9",
+                 "--seed", "42", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == GOLDEN_SWEEP_REDUCTIONS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEP
 
 
 NETWORK_HEADER = "nodes,edges,mean_degree,clustering_coefficient,mean_path_length"

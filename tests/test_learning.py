@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metersim.domain import LearningState
 from metersim.learning import (
     MAX_TRIALS,
     LearningParams,
+    LearningState,
     absorb_interaction,
     adoption_probability,
     record_trial,
