@@ -23,6 +23,7 @@ doubled.  Non deferrable appliances are never touched.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,7 +60,11 @@ class ArchetypeRuntime:
     bucket and one switch-on probability per appliance slot; off_normal and
     off_suppressed hold one switch-off probability per slot.  The
     suppressed variants apply only while an experienced agent is inside the
-    peak window.
+    peak window.  Slot j draws slot_powers[j] watts, exactly
+    power_numerators[j] / power_denominator.  The denominator is the
+    largest among the catalog's powers, a power of two, so every runtime
+    built from one catalog shares it and a sum of counts times numerators
+    is exact.
     """
 
     spec: ArchetypeSpec
@@ -68,6 +73,8 @@ class ArchetypeRuntime:
     n_slots: int
     slot_labels: tuple[str, ...]
     slot_powers: tuple[float, ...]
+    power_numerators: tuple[int, ...]
+    power_denominator: int
     on_normal: np.ndarray
     on_suppressed: np.ndarray
     off_normal: np.ndarray
@@ -93,6 +100,7 @@ class ArchetypeRuntime:
                             for spec in slots], dtype=np.float64)
         with np.errstate(over="ignore"):  # a mean on time near 0 gives 1.0, as min() did
             off_normal = np.minimum(1.0, config.tick_minutes / mean_on)
+        denominator = max(spec.power_watts.as_integer_ratio()[1] for spec in catalog.values())
         profiles = np.array([spec.usage_profile for spec in slots], dtype=np.float64)
         on_normal = profiles.reshape(len(slots), 48).T  # a (48, 0) table without appliances
 
@@ -107,6 +115,9 @@ class ArchetypeRuntime:
             n_slots=len(slots),
             slot_labels=tuple(labels),
             slot_powers=tuple(spec.power_watts for spec in slots),
+            power_numerators=tuple(num * (denominator // den) for num, den in
+                                   (spec.power_watts.as_integer_ratio() for spec in slots)),
+            power_denominator=denominator,
             on_normal=on_normal,
             on_suppressed=np.where(deferrable, on_normal * config.peak_suppression, on_normal),
             off_normal=off_normal,
@@ -245,7 +256,7 @@ def appliance_tick(
 
 def maybe_interact(
     agent: AgentState,
-    neighbor_ids: tuple[int, ...],
+    neighbor_ids: Sequence[int],
     learning_snapshot: list,
     rt: ArchetypeRuntime,
     row: list[float],

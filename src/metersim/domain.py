@@ -16,6 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Any, Mapping
 
 from .learning import LearningParams, LearningState, trials_to_threshold
+from .network import MAX_NODES
 
 MINUTES_PER_DAY = 1440
 PROFILE_BUCKETS = 48  # half hour switch-on propensity buckets
@@ -209,7 +210,7 @@ class FieldSpec:
 
 
 SCENARIO_FIELDS = (
-    FieldSpec("population", int, 0, lo_open=True),
+    FieldSpec("population", int, 0, MAX_NODES, lo_open=True),
     FieldSpec("network_mean_degree_K", int, 2, code=BAD_DEGREE),
     FieldSpec("network_rewire_beta", float, 0, 1),
     FieldSpec("p_threshold", float, 0, 1, lo_open=True),

@@ -121,13 +121,15 @@ def agent_seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
     computed for all ids at once.
 
     The entropy is the seed's little-endian uint32 words, zero-padded to the
-    pool, then the spawn key's words: STREAM_AGENT, the id's low word and,
-    for an id of 2**32 or more, its high word.  Arrays of one element hold
-    the words every id shares and broadcast against the id columns.
+    pool, then the spawn key's words: STREAM_AGENT and the id, which must be
+    below 2**32 and so is one word.  Arrays of one element hold the words
+    every id shares and broadcast against the id column.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     ids = np.asarray(ids, dtype=np.uint64)
+    if ids.size and ids.max() > _MASK32:
+        raise ValueError(f"agent ids must be below 2**32, got {int(ids.max())}")
     words = []
     while True:
         words.append(seed & _MASK32)
@@ -136,7 +138,7 @@ def agent_seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
             break
     words += [0] * (_POOL_SIZE - len(words)) + [STREAM_AGENT]
     entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append((ids & np.uint64(_MASK32)).astype(np.uint32))
+    entropy.append(ids.astype(np.uint32))
 
     hash_const = _INIT_A
     pool = []
@@ -152,12 +154,6 @@ def agent_seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             value, hash_const = _hashmix(word, hash_const, _MULT_A)
             pool[dst] = _mix(pool[dst], value)
-    # only the ids with a high word have this last round
-    high = (ids >> np.uint64(32)).astype(np.uint32)
-    has_high = high != 0
-    for dst in range(_POOL_SIZE):
-        value, hash_const = _hashmix(high, hash_const, _MULT_A)
-        pool[dst] = np.where(has_high, _mix(pool[dst], value), pool[dst])
 
     hash_const = _INIT_B
     state = []
@@ -400,6 +396,10 @@ class Simulation:
         self.network = generate_small_world(
             cfg.population, cfg.network_mean_degree_K, cfg.network_rewire_beta, net_rng,
         )
+        # agent a's neighbours are indices[indptr[a]:indptr[a + 1]]; the
+        # views' items read as Python ints
+        self._indptr = memoryview(self.network.indptr)
+        self._indices = memoryview(self.network.indices)
 
         self.load_series: list[float] = []
         self.adoption_series: list[tuple[int, int, int]] = []
@@ -443,10 +443,10 @@ class Simulation:
         if tick_in_day == 0:
             self._day_boundary(day, tick_index)
 
-        adjacency = self.network.adjacency
+        indptr, indices = self._indptr, self._indices
         snapshot = self._snapshot
         learned: list[AgentState] = []  # agents whose learning a chat changed
-        load_terms = []
+        load = 0  # watts times the catalog's power denominator, exactly
         for group in self._groups:
             rt = group.rt
             visit, flip, switch, coin = group.decide(tick_in_day, now, bucket, in_peak)
@@ -471,14 +471,15 @@ class Simulation:
                     first = last
                 if chats:
                     before = agent.learning
-                    maybe_interact(agent, adjacency[agent.agent_id], snapshot, rt,
+                    a = agent.agent_id
+                    maybe_interact(agent, indices[indptr[a]:indptr[a + 1]], snapshot, rt,
                                    tick_draws[:, k].tolist(), tick_index, events)
                     if agent.learning is not before:
                         learned.append(agent)
                         experienced[k] = agent.learning.experienced
-            load_terms.extend(map(operator.mul, rt.slot_powers,
-                                  group.on.sum(axis=1).tolist()))
-        self.load_series.append(math.fsum(load_terms))
+            load += sum(map(operator.mul, rt.power_numerators, group.on.sum(axis=1).tolist()))
+        # int / int is correctly rounded
+        self.load_series.append(load / rt.power_denominator)
         for agent in learned:
             snapshot[agent.agent_id] = agent.learning
         self._bonus_taken += learned

@@ -6,6 +6,12 @@ with probability beta to a uniformly drawn new endpoint.  Rewiring keeps
 the edge count at n*K/2, never creates self loops or duplicate edges, and
 leaves a node alone once it is connected to everyone else.
 
+The graph is held in CSR form, two integer arrays and no per-node Python
+object: node i's neighbours are indices[indptr[i]:indptr[i + 1]],
+ascending.  The build never writes the lattice out: nodes at ring distance
+at most K/2 are linked unless rewiring removed that lattice edge, and
+rewiring keeps only the removed lattice edges and the added pairs.
+
 The rewiring reads its PCG64 stream as a scalar loop would: one
 rng.random() coin per lattice edge in lattice edge order (ring offset
 outer, node inner), then rng.integers(0, n) for each new endpoint until one
@@ -16,26 +22,61 @@ loop's.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+# node ids are int32 in Network.indices
+MAX_NODES = 2**31 - 1
 
 
 class BadDegreeError(ValueError):
     """K is odd, too small, or not below the node count."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Network:
-    """Undirected graph as sorted per node adjacency tuples."""
+    """Undirected simple graph on nodes 0..node_count-1 in CSR form.
+
+    indptr (int64, node_count + 1 entries) holds row offsets into indices
+    (int32, two entries per edge): node i's neighbours are
+    indices[indptr[i]:indptr[i + 1]], ascending.  Two networks are equal
+    when they hold the same rows.
+    """
 
     node_count: int
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> Network:
+        """The network whose node i has the ascending neighbour ids rows[i]."""
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int32,
+                              count=int(indptr[-1]))
+        return cls(len(rows), indptr, indices)
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's neighbours as a tuple, built from the arrays on
+        every read."""
+        ids, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return len(self.indices) // 2
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Network):
+            return NotImplemented
+        return (self.node_count == other.node_count
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
 
 def generate_small_world(
@@ -46,31 +87,39 @@ def generate_small_world(
         raise BadDegreeError(f"mean degree must be even and >= 2, got {mean_degree_k}")
     if mean_degree_k >= n:
         raise BadDegreeError(f"mean degree {mean_degree_k} must be below node count {n}")
+    if n > MAX_NODES:
+        raise ValueError(f"node count must be at most {MAX_NODES}, got {n}")
     if not 0.0 <= rewire_beta <= 1.0:
         raise ValueError(f"rewire probability must be in [0, 1], got {rewire_beta}")
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise TypeError(f"the network stream must be PCG64, "
                         f"got {type(rng.bit_generator).__name__}")
 
-    adj: list[set[int]] = [set() for _ in range(n)]
     half = mean_degree_k // 2
-    for offset in range(1, half + 1):
-        for i in range(n):
-            j = (i + offset) % n
-            adj[i].add(j)
-            adj[j].add(i)
-
+    removed: set[int] = set()
+    added: set[int] = set()
     if rewire_beta > 0.0:
-        _rewire(adj, half, rewire_beta, rng)
-
-    return Network(
-        node_count=n,
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-    )
+        removed, added = _rewire(n, half, rewire_beta, rng)
+    keep = np.ones(n * half, dtype=bool)
+    keep[np.fromiter(removed, dtype=np.int64, count=len(removed))] = False
+    # lattice edge e joins i and i + offset + 1 (mod n), e = offset*n + i
+    offset, i = np.divmod(np.flatnonzero(keep), n)
+    j = i + offset + 1
+    j[j >= n] -= n
+    pairs = np.fromiter(added, dtype=np.int64, count=len(added))
+    i = np.concatenate((i, pairs // n))
+    j = np.concatenate((j, pairs % n))
+    # both directions of every edge as row*n + col, sorted: the rows in
+    # order, each ascending
+    keys = np.concatenate((i * n + j, j * n + i))
+    keys.sort()
+    rows, cols = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Network(n, indptr, cols.astype(np.int32))
 
 
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class _Outputs:
@@ -118,24 +167,14 @@ class _Outputs:
         return value & _MASK32
 
     def integer(self, n: int) -> int:
-        """Generator.integers(0, n) for 2 <= n <= 2**63: Lemire's rejection
-        on 32-bit draws below 2**32, one 32-bit draw at 2**32, Lemire's on
-        whole outputs above."""
-        if n < 2**32:
-            m = self.next32() * n
-            if m & _MASK32 < n:
-                threshold = (2**32 - n) % n
-                while m & _MASK32 < threshold:
-                    m = self.next32() * n
-            return m >> 32
-        if n == 2**32:
-            return self.next32()
-        m = self.next64() * n
-        if m & _MASK64 < n:
-            threshold = (2**64 - n) % n
-            while m & _MASK64 < threshold:
-                m = self.next64() * n
-        return m >> 64
+        """Generator.integers(0, n) for 2 <= n < 2**32: Lemire's rejection
+        on 32-bit draws."""
+        m = self.next32() * n
+        if m & _MASK32 < n:
+            threshold = (2**32 - n) % n
+            while m & _MASK32 < threshold:
+                m = self.next32() * n
+        return m >> 32
 
     def leave(self) -> None:
         """Put the generator where reading the first pos outputs leaves it,
@@ -155,17 +194,32 @@ def _highest_landing(beta: float) -> np.uint64:
     return np.uint64((math.ceil(beta * 2**53) << 11) - 1)
 
 
-def _rewire(adj: list[set[int]], half: int, beta: float, rng: np.random.Generator) -> None:
-    """Rewire the lattice edges of adj in place, in lattice edge order.
+def _rewire(n: int, half: int, beta: float, rng: np.random.Generator,
+            ) -> tuple[set[int], set[int]]:
+    """Rewire the ring lattice on n nodes, half edges a side, in lattice
+    edge order; return the indices of the lattice edges removed and the
+    lo*n + hi keys (lo < hi) of the pairs added.
 
     Edge e's coin is output e + shift, where shift counts the outputs the
     endpoint draws of earlier edges took, so the walk goes from one landed
     coin to the next and maps each back to its edge.  Outputs an endpoint
     draw took are not coins, and the block grows once the shift pushes the
-    last coins past its end.
+    last coins past its end.  Only the edge being visited is ever removed,
+    so each lattice edge is still in place when its coin is read.
     """
-    n = len(adj)
     edges = n * half
+    degree = [2 * half] * n
+    removed: set[int] = set()
+    added: set[int] = set()
+
+    def linked(i: int, j: int) -> bool:
+        if (i * n + j if i < j else j * n + i) in added:
+            return True
+        hop = (j - i) % n
+        if hop <= half:
+            return (hop - 1) * n + i not in removed
+        return n - hop <= half and (n - hop - 1) * n + j not in removed
+
     out = _Outputs(rng.bit_generator, edges)
     highest = _highest_landing(beta)
     shift = 0
@@ -181,23 +235,21 @@ def _rewire(adj: list[set[int]], half: int, beta: float, rng: np.random.Generato
             if edge >= edges:
                 break
             out.pos = p + 1
-            offset, i = divmod(edge, n)
-            nbrs = adj[i]
-            if len(nbrs) >= n - 1:
+            if degree[edge % n] >= n - 1:
                 continue  # already connected to everyone
-            j = (i + offset + 1) % n
-            if j not in nbrs:
-                continue  # that lattice edge was already rewired away
+            offset, i = divmod(edge, n)
             target = out.integer(n)
-            while target == i or target in nbrs:
+            while target == i or linked(i, target):
                 target = out.integer(n)
-            nbrs.discard(j)
-            adj[j].discard(i)
-            nbrs.add(target)
-            adj[target].add(i)
+            j = (i + offset + 1) % n
+            removed.add(edge)
+            added.add(i * n + target if i < target else target * n + i)
+            degree[j] -= 1
+            degree[target] += 1
             shift = out.pos - edge - 1
     out.pos = edges + shift
     out.leave()
+    return removed, added
 
 
 def clustering_coefficient(net: Network) -> float:
@@ -207,9 +259,10 @@ def clustering_coefficient(net: Network) -> float:
     """
     if net.node_count == 0:
         return 0.0
-    sets = [set(nbrs) for nbrs in net.adjacency]
+    adjacency = net.adjacency
+    sets = [set(nbrs) for nbrs in adjacency]
     total = 0.0
-    for nbrs in net.adjacency:
+    for nbrs in adjacency:
         d = len(nbrs)
         if d < 2:
             continue
@@ -246,10 +299,11 @@ def mean_path_length_sampled(
         targets = np.where(targets >= sources, targets + 1, targets)
         pairs = zip(sources.tolist(), targets.tolist())
 
+    adjacency = net.adjacency
     total = 0.0
     counted = 0
     for s, t in pairs:
-        d = _pair_distance(net.adjacency, s, t)
+        d = _pair_distance(adjacency, s, t)
         if d >= 0:
             total += d
             counted += 1

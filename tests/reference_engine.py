@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from metersim.behavior import (
     BECAME_EXPERIENCED,
@@ -161,7 +162,7 @@ def reference_run(scenario: Scenario):
                 if agent.learning is not None and agent.at_home:
                     record_daily_trial(agent, tick, events)
         snapshot = [a.learning for a in agents]
-        load_terms = []
+        load = Fraction(0)
         for rt, first, count, on_count in groups:
             stride = rt.n_slots + 2
             off = 2 + tick_in_day * stride
@@ -173,8 +174,8 @@ def reference_run(scenario: Scenario):
                     if agent.learning is not None:
                         maybe_interact(agent, adjacency[agent.agent_id], snapshot, row,
                                        tick, events)
-            load_terms.extend(p * c for p, c in zip(rt.slot_powers, on_count))
-        load_series.append(math.fsum(load_terms))
+            load += sum(Fraction(p) * c for p, c in zip(rt.slot_powers, on_count))
+        load_series.append(float(load))
         if tick_in_day == ticks_per_day - 1:
             uninfluenced = sum(a.learning is None for a in agents)
             experienced = sum(a.learning is not None and a.learning.experienced for a in agents)

@@ -43,7 +43,4 @@ def reference_small_world(
                 adj[i].add(target)
                 adj[target].add(i)
 
-    return Network(
-        node_count=n,
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-    )
+    return Network.from_rows([sorted(nbrs) for nbrs in adj])

@@ -76,9 +76,20 @@ def test_unparsable_scenario_files_are_refused_not_a_traceback(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_a_population_beyond_memory_passes_validate(tmp_path, capsys):
+@pytest.mark.parametrize("population", [2**31, 10**10])
+def test_a_population_beyond_int32_node_ids_is_refused(tmp_path, capsys, population):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(tiny_doc(population=10**10)), encoding="utf-8")
+    path.write_text(json.dumps(tiny_doc(population=population)), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("BadValue: ") and "population" in lines[0]
+    assert captured.out == ""
+
+
+def test_the_largest_population_passes_validate(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(tiny_doc(population=2**31 - 1)), encoding="utf-8")
     assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out == "ok\n"
 

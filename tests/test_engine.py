@@ -228,7 +228,7 @@ def test_load_samples_are_the_exact_sum_of_on_powers(seed, powers, on_minutes, t
     assert len(output.load_series) == len(expected)
     for sample, exact in zip(output.load_series.tolist(), expected):
         assert sample >= 0.0
-        assert abs(sample - exact) <= 1e-9
+        assert sample == exact
 
 
 def test_same_seed_reproduces_everything():

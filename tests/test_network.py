@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 from collections import deque
@@ -35,13 +36,13 @@ def test_ring_lattice_neighbors_k4():
 
 
 def test_neighbor_lists_sorted_and_symmetric():
-    net = generate_small_world(200, 6, 0.4, rng(3))
-    for i, nbrs in enumerate(net.adjacency):
+    adjacency = generate_small_world(200, 6, 0.4, rng(3)).adjacency
+    for i, nbrs in enumerate(adjacency):
         assert list(nbrs) == sorted(nbrs)
         assert i not in nbrs
         assert len(set(nbrs)) == len(nbrs)
         for j in nbrs:
-            assert i in net.adjacency[j]
+            assert i in adjacency[j]
 
 
 def test_edge_count_preserved_by_rewiring():
@@ -60,12 +61,12 @@ def test_degree_errors():
 
 
 def test_clustering_triangle_is_one():
-    net = Network(node_count=3, adjacency=((1, 2), (0, 2), (0, 1)))
+    net = Network.from_rows(((1, 2), (0, 2), (0, 1)))
     assert clustering_coefficient(net) == 1.0
 
 
 def test_clustering_path_is_zero():
-    net = Network(node_count=3, adjacency=((1,), (0, 2), (1,)))
+    net = Network.from_rows(((1,), (0, 2), (1,)))
     assert clustering_coefficient(net) == 0.0
 
 
@@ -95,8 +96,9 @@ def test_full_rewire_leaves_lattice_behind():
     # beta=1 rewires every lattice edge that is still in place when visited
     net = generate_small_world(400, 4, 1.0, rng(5))
     assert net.edge_count == 800
+    adjacency = net.adjacency
     lattice_edges = sum(
-        1 for i in range(400) for off in (1, 2) if (i + off) % 400 in net.adjacency[i]
+        1 for i in range(400) for off in (1, 2) if (i + off) % 400 in adjacency[i]
     )
     assert lattice_edges < 800
 
@@ -141,10 +143,31 @@ def dense_graphs():
         lambda n: st.tuples(st.just(n), st.integers(1, (n - 1) // 2).map(lambda h: 2 * h)))
 
 
+def small_graphs():
+    # up to K = 40, so some nodes reach everyone once rewiring adds to them
+    return st.integers(1, 20).flatmap(
+        lambda h: st.tuples(st.integers(2 * h + 1, 300), st.just(2 * h)))
+
+
+def assert_csr_rows(net, n, k):
+    """Ascending rows without self loops, each edge in both rows, held in
+    int64 offsets and int32 ids."""
+    assert net.indptr.dtype == np.int64 and net.indices.dtype == np.int32
+    assert len(net.indptr) == n + 1 and net.indptr[0] == 0
+    assert len(net.indices) == net.indptr[-1] == n * k
+    rows = np.repeat(np.arange(n), np.diff(net.indptr))
+    cols = net.indices
+    assert not (rows == cols).any()
+    within = rows[1:] == rows[:-1]
+    assert (cols[1:][within] > cols[:-1][within]).all()
+    there = np.lexsort((rows, cols))
+    assert np.array_equal(cols[there], rows) and np.array_equal(rows[there], cols)
+
+
 @settings(max_examples=250, deadline=None)
 @given(
-    graph=sparse_graphs() | dense_graphs(),
-    beta=st.sampled_from([1e-3, 0.1, 0.5, 1.0]),
+    graph=sparse_graphs() | dense_graphs() | small_graphs(),
+    beta=st.sampled_from([0.0, 1e-3, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0),
     seed=st.integers(0, 2**64 - 1),
     cached_half=st.none() | st.integers(0, 2**32 - 1),
 )
@@ -153,11 +176,32 @@ def test_bulk_build_is_the_scalar_loop(graph, beta, seed, cached_half):
     included."""
     n, k = graph
     bulk, scalar = pcg64(seed, cached_half), pcg64(seed, cached_half)
-    assert generate_small_world(n, k, beta, bulk) == reference_small_world(n, k, beta, scalar)
+    net = generate_small_world(n, k, beta, bulk)
+    assert net == reference_small_world(n, k, beta, scalar)
     assert bulk.bit_generator.state == scalar.bit_generator.state
+    assert_csr_rows(net, n, k)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 10**10])
+def test_the_build_makes_no_object_per_node():
+    # with the collector off, no tuple is untracked while the build runs
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        net = generate_small_world(10_000, 4, 0.1, substream(42, STREAM_NETWORK))
+        made = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert made < 100
+    assert net.edge_count == 20_000
+
+
+def test_node_ids_must_fit_int32():
+    with pytest.raises(ValueError):
+        generate_small_world(2**31, 4, 0.1, rng())
+
+
+@pytest.mark.parametrize("n", [2, 3, 5000, 2**31 + 1, 2**32 - 1])
 @pytest.mark.parametrize("cached_half", [None, 2**32 - 1])
 def test_bounded_draw_is_numpy_integers(n, cached_half):
     """_Outputs.integer(n) reads the outputs as Generator.integers(0, n)
@@ -210,13 +254,14 @@ def test_mean_path_length_sampled_branch():
 
 def all_pairs_mean(net):
     """Mean over reachable pairs s < t, one complete BFS per source."""
+    adjacency = net.adjacency
     total, counted = 0.0, 0
     for s in range(net.node_count):
         dist = {s: 0}
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for v in net.adjacency[u]:
+            for v in adjacency[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
@@ -230,18 +275,18 @@ def all_pairs_mean(net):
 def test_exact_path_length_skips_unreachable_pairs():
     # two triangles: the 6 pairs inside them are at distance 1, the other
     # 9 are unreachable
-    net = Network(node_count=6, adjacency=((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)))
+    net = Network.from_rows(((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)))
     assert mean_path_length_sampled(net, rng(1)) == 1.0
 
 
 def test_exact_path_length_nan_without_reachable_pairs():
-    net = Network(node_count=2, adjacency=((), ()))
+    net = Network.from_rows(((), ()))
     assert math.isnan(mean_path_length_sampled(net, rng(1)))
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_path_length_nan_below_two_nodes(n):
-    net = Network(node_count=n, adjacency=((),) * n)
+    net = Network.from_rows(((),) * n)
     assert math.isnan(mean_path_length_sampled(net, rng(1)))
 
 
@@ -263,13 +308,14 @@ def full_bfs_mean(net, gen, max_pairs):
     by_source = {}
     for s, t in zip(sources.tolist(), targets.tolist()):
         by_source.setdefault(s, []).append(t)
+    adjacency = net.adjacency
     total, counted = 0.0, 0
     for s, ts in by_source.items():
         dist = {s: 0}
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for v in net.adjacency[u]:
+            for v in adjacency[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
@@ -307,8 +353,9 @@ def test_generation_invariants(n, k, beta, seed):
     net = generate_small_world(n, k, beta, rng(seed))
     assert net.node_count == n
     assert net.edge_count == n * k // 2
-    for i, nbrs in enumerate(net.adjacency):
+    adjacency = net.adjacency
+    for i, nbrs in enumerate(adjacency):
         assert i not in nbrs
         assert len(set(nbrs)) == len(nbrs)
         for j in nbrs:
-            assert i in net.adjacency[j]
+            assert i in adjacency[j]

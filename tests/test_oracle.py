@@ -7,7 +7,7 @@ the same event tuple, and after every tick its group arrays must agree with
 the agents' own fields.
 """
 
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,10 +90,10 @@ def assert_groups_mirror_agents(sim):
         assert group.experienced.tolist() == [
             a.learning is not None and a.learning.experienced for a in agents]
     assert sim._snapshot == [a.learning for a in sim.agents]
-    # the tick's load counts exactly the slots the agents have on
-    assert sim.load_series[-1] == math.fsum(
-        power * sum(a.appliance_on[j] for a in group.agents)
-        for group in sim._groups for j, power in enumerate(group.rt.slot_powers))
+    # the tick's load is the exactly rounded sum of the slots the agents have on
+    assert sim.load_series[-1] == float(sum(
+        Fraction(power) * sum(a.appliance_on[j] for a in group.agents)
+        for group in sim._groups for j, power in enumerate(group.rt.slot_powers)))
 
 
 def assert_engine_matches_reference(doc):
