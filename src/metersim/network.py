@@ -235,9 +235,9 @@ def _rewire(n: int, half: int, beta: float, rng: np.random.Generator,
             if edge >= edges:
                 break
             out.pos = p + 1
-            if degree[edge % n] >= n - 1:
-                continue  # already connected to everyone
             offset, i = divmod(edge, n)
+            if degree[i] >= n - 1:
+                continue  # already connected to everyone
             target = out.integer(n)
             while target == i or linked(i, target):
                 target = out.integer(n)
