@@ -64,8 +64,9 @@ def aggregate_load(output: SimOutput, bucket_minutes: int = DEFAULT_BUCKET_MINUT
     """Fold a run's tick series into a time-of-day curve.
 
     Bucket means average every tick sample that falls in the bucket across
-    all days, which preserves daily energy.  The bucket width must be a
-    multiple of the tick size and divide the day.
+    all days, which preserves daily energy.  Each mean is exactly rounded:
+    the samples are summed exactly and divided once.  The bucket width must
+    be a multiple of the tick size and divide the day.
     """
     tick_minutes = output.scenario.config.tick_minutes
     if (
@@ -81,9 +82,17 @@ def aggregate_load(output: SimOutput, bucket_minutes: int = DEFAULT_BUCKET_MINUT
     buckets = MINUTES_PER_DAY // bucket_minutes
     samples = np.asarray(output.load_series, dtype=np.float64)
     days = samples.size // ticks_per_day
-    shaped = samples.reshape(days, buckets, ticks_per_bucket)
-    means = shaped.mean(axis=(0, 2))
-    return LoadCurve(bucket_minutes=bucket_minutes, values=tuple(float(v) for v in means))
+    by_bucket = samples.reshape(days, buckets, ticks_per_bucket).transpose(1, 0, 2)
+    means = tuple(_exact_mean(row) for row in by_bucket.reshape(buckets, -1).tolist())
+    return LoadCurve(bucket_minutes=bucket_minutes, values=means)
+
+
+def _exact_mean(values: list[float]) -> float:
+    """The mean of finite floats, rounded once: each is an integer over a
+    power of two, so the sum is exact over the largest denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    denominator = max(q for _, q in ratios)
+    return sum(p * (denominator // q) for p, q in ratios) / (denominator * len(values))
 
 
 def pearson_correlation(a: LoadCurve, b: LoadCurve) -> float:

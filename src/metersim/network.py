@@ -18,6 +18,11 @@ outer, node inner), then rng.integers(0, n) for each new endpoint until one
 fits.  It draws the raw outputs in blocks and visits only the edges whose
 coin lands, so the graph and the generator's final state are the scalar
 loop's.
+
+The analysis reads the same arrays.  Clustering looks each pair of a node's
+neighbours up among the sorted edge keys, for every node at once; path
+lengths come from a BFS that searches 512 pairs at once, one bit each,
+level by level over the whole graph.
 """
 
 from __future__ import annotations
@@ -102,21 +107,36 @@ def generate_small_world(
         removed, added = _rewire(n, half, rewire_beta, rng)
     keep = np.ones(n * half, dtype=bool)
     keep[np.fromiter(removed, dtype=np.int64, count=len(removed))] = False
-    # lattice edge e joins i and i + offset + 1 (mod n), e = offset*n + i
-    offset, i = np.divmod(np.flatnonzero(keep), n)
-    j = i + offset + 1
-    j[j >= n] -= n
-    pairs = np.fromiter(added, dtype=np.int64, count=len(added))
-    i = np.concatenate((i, pairs // n))
-    j = np.concatenate((j, pairs % n))
-    # both directions of every edge as row*n + col, sorted: the rows in
-    # order, each ascending
-    keys = np.concatenate((i * n + j, j * n + i))
+    # both directions of every edge as row*n + col: the kept lattice edges
+    # (lattice edge offset*n + i joins i and i + offset + 1, mod n), then
+    # the added pairs
+    keys = np.empty(2 * n * half, dtype=np.int64)
+    filled = 0
+    for offset in range(half):
+        i = np.flatnonzero(keep[offset * n:(offset + 1) * n])
+        j = i + (offset + 1)
+        j[j >= n] -= n
+        filled = _put_edges(keys, filled, i, j, n)
+    del keep, i, j
+    lo, hi = np.divmod(np.fromiter(added, dtype=np.int64, count=len(added)), n)
+    _put_edges(keys, filled, lo, hi, n)
+    del lo, hi
+    # sorted, the keys hold the rows in order, each ascending
     keys.sort()
-    rows, cols = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Network(n, indptr, cols.astype(np.int32))
+    indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n))
+    keys %= n
+    return Network(n, indptr, keys.astype(np.int32))
+
+
+def _put_edges(keys: np.ndarray, at: int, i: np.ndarray, j: np.ndarray, n: int) -> int:
+    """Write the edges i-j as keys i*n + j from at on in the first half of
+    keys and j*n + i at the same places in the second; return where the
+    next edge goes."""
+    end = at + len(i)
+    for out, row, col in ((keys[at:end], i, j), (keys[len(keys) // 2:][at:end], j, i)):
+        np.multiply(row, n, out=out)
+        out += col
+    return end
 
 
 _MASK32 = 0xFFFFFFFF
@@ -255,25 +275,33 @@ def _rewire(n: int, half: int, beta: float, rng: np.random.Generator,
 def clustering_coefficient(net: Network) -> float:
     """Mean local clustering: closed neighbour pairs over possible pairs.
 
-    Nodes with degree below 2 contribute 0.
+    Nodes with degree below 2 contribute 0.  A node's neighbours a < b
+    close a pair when a*n + b is among the edges' row*n + col keys, which
+    the CSR rows hold sorted, so each neighbour slot is one search of
+    those keys for its pairs with every earlier slot.  The ratios are
+    summed in node order, one addition at a time, as a scalar loop sums
+    them.
     """
-    if net.node_count == 0:
+    n = net.node_count
+    if n == 0:
         return 0.0
-    adjacency = net.adjacency
-    sets = [set(nbrs) for nbrs in adjacency]
-    total = 0.0
-    for nbrs in adjacency:
-        d = len(nbrs)
-        if d < 2:
-            continue
-        closed = 0
-        for a in range(d):
-            na = sets[nbrs[a]]
-            for b in range(a + 1, d):
-                if nbrs[b] in na:
-                    closed += 1
-        total += closed / (d * (d - 1) / 2)
-    return total / net.node_count
+    degree = np.diff(net.indptr)
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, degree) + net.indices
+    closed = np.zeros(n, dtype=np.int64)
+    for y in range(1, int(degree.max())):
+        rows = np.flatnonzero(degree > y)
+        start = net.indptr[rows]
+        pairs = np.multiply(net.indices[start + np.arange(y)[:, None]], n, dtype=np.int64)
+        pairs += net.indices[start + y]
+        # b's own row holds keys above a*n + b, so no search runs past the end
+        closed[rows] += (keys[np.searchsorted(keys, pairs)] == pairs).sum(axis=0)
+    ratio = np.zeros(n)
+    np.divide(closed, degree * (degree - 1) / 2, out=ratio, where=degree >= 2)
+    return float(np.add.accumulate(ratio)[-1]) / n
+
+
+# sampled pairs searched at once, one bit each
+_BLOCK_PAIRS = 512
 
 
 def mean_path_length_sampled(
@@ -282,58 +310,86 @@ def mean_path_length_sampled(
     """Mean shortest path length over node pairs.
 
     Exact over all pairs when the graph has at most max_pairs of them;
-    otherwise estimated from max_pairs pairs drawn from rng.  Each pair is
-    one bidirectional BFS.  Unreachable pairs are skipped; returns nan
-    when no pair is reachable.
+    otherwise estimated from max_pairs pairs drawn from rng.  Every pair's
+    hop count comes from a bit-parallel BFS over the CSR arrays (see
+    _hop_counts), and the mean is their integer sum divided once.
+    Unreachable pairs are skipped; returns nan when no pair is reachable.
     """
     n = net.node_count
     if n < 2:
         return float("nan")
 
     if n * (n - 1) // 2 <= max_pairs:
-        pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+        sources, targets = np.triu_indices(n, 1)
     else:
         sources = rng.integers(0, n, size=max_pairs)
         targets = rng.integers(0, n - 1, size=max_pairs)
         # shift to avoid self pairs
         targets = np.where(targets >= sources, targets + 1, targets)
-        pairs = zip(sources.tolist(), targets.tolist())
 
-    adjacency = net.adjacency
-    total = 0.0
-    counted = 0
-    for s, t in pairs:
-        d = _pair_distance(adjacency, s, t)
-        if d >= 0:
-            total += d
-            counted += 1
-    return total / counted if counted else float("nan")
+    hops = _hop_counts(net, sources, targets)
+    reached = hops[hops >= 0]
+    return int(reached.sum()) / reached.size if reached.size else float("nan")
 
 
-def _pair_distance(adjacency: tuple[tuple[int, ...], ...], s: int, t: int) -> int:
-    """Hop count from s to t (s != t), -1 when t is unreachable.
+def _hop_counts(net: Network, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Hop count from each source to its target (source != target), -1
+    where the target is unreachable.
 
-    Bidirectional BFS: each step expands the smaller frontier by one whole
-    level.  With the s side at depth a and the t side at depth b and no
-    meeting yet, the distance is at least a + b + 1, so the first node the
-    expansion finds already reached from the other side gives it exactly.
+    A level-synchronous BFS runs for _BLOCK_PAIRS pairs at once, pair p of a
+    block owning bit p of each node's row of words (Then et al., VLDB 2014).
+    A level ORs every node's neighbours' frontier rows into its own, keeps
+    the bits that node has not seen, and finds pair p at depth d when its
+    bit reaches its target.  The nodes are relabelled by falling degree, so
+    the rows that have an x-th neighbour are a prefix and each neighbour
+    slot is one gather into a prefix of the level's rows.
     """
-    near, far = {s: 0}, {t: 0}
-    near_front, far_front = [s], [t]
-    near_depth = far_depth = 0
-    while near_front and far_front:
-        if len(near_front) > len(far_front):
-            near, far = far, near
-            near_front, far_front = far_front, near_front
-            near_depth, far_depth = far_depth, near_depth
-        near_depth += 1
-        grown = []
-        for u in near_front:
-            for v in adjacency[u]:
-                if v not in near:
-                    if v in far:
-                        return near_depth + far[v]
-                    near[v] = near_depth
-                    grown.append(v)
-        near_front = grown
-    return -1
+    n = net.node_count
+    degree = np.diff(net.indptr)
+    order = np.argsort(-degree, kind="stable")
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.arange(n)
+    starts = net.indptr[order]
+    rows_with = n - np.cumsum(np.bincount(degree))[:-1]  # nodes of degree > x
+    # slots[x][r] is the label of the x-th neighbour of the node labelled r
+    slots = [label[net.indices[starts[:rows] + x]] for x, rows in enumerate(rows_with.tolist())]
+    sources, targets = label[sources], label[targets]
+    hops = np.full(len(sources), -1, dtype=np.int64)
+    for first in range(0, len(sources), _BLOCK_PAIRS):
+        block = slice(first, first + _BLOCK_PAIRS)
+        hops[block] = _search_block(n, slots, sources[block], targets[block])
+    return hops
+
+
+def _search_block(n: int, slots: list[np.ndarray], sources: np.ndarray,
+                  targets: np.ndarray) -> np.ndarray:
+    """Hop counts for up to _BLOCK_PAIRS pairs in one bit-parallel BFS."""
+    pairs = len(sources)
+    hops = np.full(pairs, -1, dtype=np.int64)
+    word = np.arange(pairs) >> 6
+    bit = np.uint64(1) << (np.arange(pairs) & 63).astype(np.uint64)
+    frontier = np.zeros((n, -(-pairs // 64)), dtype=np.uint64)
+    np.bitwise_or.at(frontier, (sources, word), bit)
+    unseen = ~frontier
+    nxt, buf = np.empty_like(frontier), np.empty_like(frontier)
+    open_pairs = np.arange(pairs)
+    depth = 0
+    while slots and open_pairs.size:
+        depth += 1
+        first = len(slots[0])
+        # every index is in range; "clip" spares take a buffered copy
+        np.take(frontier, slots[0], axis=0, out=nxt[:first], mode="clip")
+        nxt[first:] = 0
+        for slot in slots[1:]:
+            rows = len(slot)
+            np.take(frontier, slot, axis=0, out=buf[:rows], mode="clip")
+            nxt[:rows] |= buf[:rows]
+        nxt &= unseen
+        unseen ^= nxt
+        hit = (nxt[targets[open_pairs], word[open_pairs]] & bit[open_pairs]) != 0
+        hops[open_pairs[hit]] = depth
+        open_pairs = open_pairs[~hit]
+        if not nxt.any():
+            break
+        frontier, nxt = nxt, frontier
+    return hops

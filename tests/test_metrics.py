@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,6 +62,23 @@ def test_aggregate_preserves_energy():
         curve = aggregate_load(fake_output(series, tick), bucket_minutes=bucket)
         curve_energy = sum(curve.values) * bucket * days
         assert curve_energy == pytest.approx(total_energy, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tick_bucket=st.sampled_from([(1, 30), (5, 30), (10, 30), (15, 30), (30, 30), (10, 60), (60, 240)]),
+    copies=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_copies_of_one_day_give_that_days_curve(tick_bucket, copies, seed):
+    """Bucket means are exactly rounded, so repeating a day of fractional
+    samples leaves its curve as it is."""
+    tick, bucket = tick_bucket
+    day = np.round(np.random.default_rng(seed).uniform(0.0, 5000.0, 1440 // tick), 3)
+    curve = aggregate_load(fake_output(day, tick), bucket_minutes=bucket)
+    by_bucket = day.reshape(1440 // bucket, -1).tolist()
+    assert curve.values == tuple(float(sum(map(Fraction, b)) / len(b)) for b in by_bucket)
+    assert aggregate_load(fake_output(np.tile(day, copies), tick), bucket_minutes=bucket) == curve
 
 
 @pytest.mark.parametrize("tick,bucket", [(10, 25), (30, 45), (10, 7), (30, 0), (30, -30)])

@@ -18,7 +18,7 @@ from metersim.network import (
     _highest_landing,
     _Outputs,
 )
-from reference_network import reference_small_world
+from reference_network import reference_clustering, reference_path_length, reference_small_world
 
 
 def rng(seed=0):
@@ -359,3 +359,85 @@ def test_generation_invariants(n, k, beta, seed):
         assert len(set(nbrs)) == len(nbrs)
         for j in nbrs:
             assert i in adjacency[j]
+
+
+@st.composite
+def simple_graphs(draw):
+    """Random simple graphs on 0-80 nodes, from empty to complete, with
+    some nodes cut off from all others."""
+    n = draw(st.integers(0, 80))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 1.0]) | st.floats(0.0, 1.0))
+    alone = draw(st.sampled_from([0.0, 0.2]))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    linked = np.triu(gen.random((n, n)) < density, 1)
+    linked[gen.random(n) < alone] = False
+    linked |= linked.T
+    return Network.from_rows([np.flatnonzero(row).tolist() for row in linked])
+
+
+@st.composite
+def small_worlds(draw):
+    n = draw(st.integers(3, 300))
+    k = 2 * draw(st.integers(1, min(n - 1, 20) // 2))
+    beta = draw(st.sampled_from([0.0, 0.1, 1.0]) | st.floats(0.0, 1.0))
+    return generate_small_world(n, k, beta, rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    net=simple_graphs() | small_worlds(),
+    max_pairs=st.sampled_from([1, 63, 64, 65, 511, 512, 513, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_analysis_is_the_scalar_reference(net, max_pairs, seed):
+    """The same floats as a loop over Python sets and one bidirectional BFS
+    per pair, on both branches, through partial blocks and word edges, and
+    the analysis stream left where the reference leaves it."""
+    assert clustering_coefficient(net) == reference_clustering(net)
+    gen, ref = rng(seed), rng(seed)
+    got = mean_path_length_sampled(net, gen, max_pairs)
+    assert same_float(got, reference_path_length(net, ref, max_pairs))
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_clustering_keys_hold_ids_past_int32_products():
+    # a*n + b passes 2**31 here, and would wrap if taken in int32 ids
+    n = 70_000
+    rows = [()] * (n - 3) + [(n - 2, n - 1), (n - 3, n - 1), (n - 3, n - 2)]
+    net = Network.from_rows(rows)
+    assert clustering_coefficient(net) == reference_clustering(net) == 3 / n
+
+
+class NoAdjacency(Network):
+    __slots__ = ()
+
+    @property
+    def adjacency(self):
+        raise AssertionError("the analysis read Network.adjacency")
+
+
+@pytest.mark.parametrize("max_pairs", [100, 1000])
+def test_analysis_reads_only_the_arrays(max_pairs):
+    net = generate_small_world(40, 4, 0.2, rng(8))
+    blind = NoAdjacency(net.node_count, net.indptr, net.indices)
+    assert clustering_coefficient(blind) == reference_clustering(net)
+    got = mean_path_length_sampled(blind, rng(9), max_pairs)
+    assert got == reference_path_length(net, rng(9), max_pairs)
+
+
+def test_the_analysis_makes_no_object_per_node():
+    net = generate_small_world(10_000, 4, 0.1, substream(42, STREAM_NETWORK))
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        clustering_coefficient(net)
+        mean_path_length_sampled(net, rng(1))
+        made = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert made < 100
