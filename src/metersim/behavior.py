@@ -7,7 +7,7 @@ group's tick draws hold one column per agent and slots+2 rows:
     sample_daily_times   its two arguments (the day's first two draws)
     switch_mask          rows 0..slots-1, one per owned appliance instance
     chat_coins           row slots (the chat coin)
-    maybe_interact       row[slots+1] of the agent's column (the partner pick)
+    maybe_interact       row slots+1 (the partner pick), one float per chat
 
 Each rule is decided once, for a whole archetype group, by a numpy mask:
 presence_mask says who is home, switch_mask which slots switch and
@@ -60,11 +60,10 @@ class ArchetypeRuntime:
     bucket and one switch-on probability per appliance slot; off_normal and
     off_suppressed hold one switch-off probability per slot.  The
     suppressed variants apply only while an experienced agent is inside the
-    peak window.  Slot j draws slot_powers[j] watts, exactly
-    power_numerators[j] / power_denominator.  The denominator is the
-    largest among the catalog's powers, a power of two, so every runtime
-    built from one catalog shares it and a sum of counts times numerators
-    is exact.
+    peak window.  Slot j draws power_numerators[j] / power_denominator
+    watts, exactly.  The denominator is the largest among the catalog's
+    powers, a power of two, so every runtime built from one catalog shares
+    it and a sum of counts times numerators is exact.
     """
 
     spec: ArchetypeSpec
@@ -72,7 +71,6 @@ class ArchetypeRuntime:
     p_interact: float
     n_slots: int
     slot_labels: tuple[str, ...]
-    slot_powers: tuple[float, ...]
     power_numerators: tuple[int, ...]
     power_denominator: int
     on_normal: np.ndarray
@@ -114,7 +112,6 @@ class ArchetypeRuntime:
             p_interact=arch.awareness * config.base_interaction_rate,
             n_slots=len(slots),
             slot_labels=tuple(labels),
-            slot_powers=tuple(spec.power_watts for spec in slots),
             power_numerators=tuple(num * (denominator // den) for num, den in
                                    (spec.power_watts.as_integer_ratio() for spec in slots)),
             power_denominator=denominator,
@@ -216,13 +213,13 @@ def apply_intervention(
 
 def record_daily_trial(
     agent: AgentState,
-    params: LearningParams,
+    threshold: int | None,
     tick: int,
     events: list[AgentEvent] | None,
 ) -> None:
     """Book the day's reinforced trial for an influenced agent."""
     before = agent.learning
-    after = record_trial(before, params)
+    after = record_trial(before, threshold)
     agent.learning = after
     if after.experienced and not before.experienced and events is not None:
         events.append(AgentEvent(tick, agent.agent_id, BECAME_EXPERIENCED))
@@ -258,29 +255,30 @@ def maybe_interact(
     agent: AgentState,
     neighbor_ids: Sequence[int],
     learning_snapshot: list,
-    rt: ArchetypeRuntime,
-    row: list[float],
+    threshold: int | None,
+    u_partner: float,
     tick: int,
     events: list[AgentEvent] | None,
 ) -> None:
     """Chat with a random influenced neighbour about the meter, if any.
 
     Caller guarantees the agent is influenced and at home and that its
-    chat coin landed (chat_coins).  The partner pick is row[slots+1].  The
-    donor's learning state comes from the start-of-tick snapshot so
-    outcomes do not depend on agent processing order.  A successful
-    exchange gives the recipient at most one bonus trial per day.
+    chat coin landed (chat_coins).  u_partner, row slots+1 of the tick's
+    draws, picks the partner.  The donor's learning state comes from the
+    start-of-tick snapshot so outcomes do not depend on agent processing
+    order.  A successful exchange gives the recipient at most one bonus
+    trial per day, counted against threshold.
     """
     donors = [j for j in neighbor_ids if learning_snapshot[j] is not None]
     if not donors:
         return
-    peer = donors[int(row[rt.n_slots + 1] * len(donors))]
+    peer = donors[int(u_partner * len(donors))]
     if events is not None:
         events.append(AgentEvent(tick, agent.agent_id, INTERACTED, str(peer)))
     if agent.bonus_trial_today:
         return
     before = agent.learning
-    after = absorb_interaction(before, learning_snapshot[peer], rt.learn_params)
+    after = absorb_interaction(before, learning_snapshot[peer], threshold)
     if after is not before:
         agent.learning = after
         agent.bonus_trial_today = True

@@ -190,7 +190,7 @@ def cmd_run(args: argparse.Namespace) -> None:
 
         manifest = {
             "scenario_path": os.path.abspath(args.config),
-            "seed": output.seed,
+            "seed": scenario.config.seed,
             "out_dir": os.path.abspath(args.out),
             "files": files,
             "engine_version": __version__,
@@ -212,7 +212,7 @@ def cmd_run(args: argparse.Namespace) -> None:
             fh.write("\n")
 
     time_of_peak, peak_watts = peak_stats(curve)
-    print(f"seed={output.seed}")
+    print(f"seed={scenario.config.seed}")
     print(f"files={','.join(files)}")
     print(f"peak_start={time_of_peak}")
     print(f"peak_watts={peak_watts:.3f}")

@@ -220,6 +220,8 @@ def chunk_ticks(ticks_per_day: int, stride: int) -> int:
 class _Group:
     """The agents of one archetype mix entry, which have contiguous ids.
 
+    threshold is the group's trials_to_threshold, worked out once; its
+    seeded agents start there, sharing one frozen LearningState.
     draws holds the current chunk of today's block, row k for the group's
     k-th agent, drawn from that agent's generator gens[k]: columns 0 and 1
     are the day's two times and column 2 + c*(slots+2) starts the draws of
@@ -241,7 +243,7 @@ class _Group:
     """
 
     __slots__ = (
-        "rt", "agents", "gens", "chunk", "ticks_per_day", "draws", "tick_draws",
+        "rt", "agents", "gens", "threshold", "chunk", "ticks_per_day", "draws", "tick_draws",
         "leave_at", "return_at", "home", "on", "influenced", "experienced",
     )
 
@@ -251,6 +253,11 @@ class _Group:
         self.rt = rt
         self.agents = agents
         self.gens = gens
+        self.threshold = trials_to_threshold(rt.learn_params)
+        # validation rejects a seeded group whose threshold is unreachable
+        state = LearningState(self.threshold, True) if seeded.any() else None
+        for k in np.flatnonzero(seeded).tolist():
+            agents[k].learning = state
         self.chunk = chunk_ticks(ticks_per_day, slots + 2)
         self.ticks_per_day = ticks_per_day
         width = 2 + self.chunk * (slots + 2)
@@ -325,7 +332,6 @@ class SimOutput:
     adoption_series: tuple[tuple[int, int, int], ...]
     events: tuple[AgentEvent, ...] | None
     scenario: Scenario
-    seed: int
 
 
 class Simulation:
@@ -379,14 +385,6 @@ class Simulation:
                 )
                 for k in range(count)
             ]
-            picked = np.flatnonzero(seeded[first:first + count]).tolist()
-            if picked:
-                # validation rejects scenarios where this is unreachable; the
-                # state is frozen, so the group's pre-seeded agents share it
-                state = LearningState(trials_t=trials_to_threshold(rt.learn_params),
-                                      experienced=True)
-                for k in picked:
-                    agents[k].learning = state
             gens = agent_streams(cfg.seed, first, count)
             self.agents.extend(agents)
             self._groups.append(_Group(rt, agents, gens, self.ticks_per_day,
@@ -426,7 +424,7 @@ class Simulation:
                 if agent.learning is None:
                     apply_intervention(agent, tick_index, events)
                 if at_home:
-                    record_daily_trial(agent, group.rt.learn_params, tick_index, events)
+                    record_daily_trial(agent, group.threshold, tick_index, events)
                     group.experienced[k] = agent.learning.experienced
                 self._snapshot[agent.agent_id] = agent.learning
 
@@ -452,7 +450,7 @@ class Simulation:
             visit, flip, switch, coin = group.decide(tick_in_day, now, bucket, in_peak)
             agents = group.agents
             experienced = group.experienced
-            tick_draws = group.tick_draws
+            partner = group.tick_draws[rt.n_slots + 1]
             # the switched slots of every visited agent in (agent, slot)
             # order, and how many belong to each agent
             switch = switch[:, visit]
@@ -472,8 +470,8 @@ class Simulation:
                 if chats:
                     before = agent.learning
                     a = agent.agent_id
-                    maybe_interact(agent, indices[indptr[a]:indptr[a + 1]], snapshot, rt,
-                                   tick_draws[:, k].tolist(), tick_index, events)
+                    maybe_interact(agent, indices[indptr[a]:indptr[a + 1]], snapshot,
+                                   group.threshold, partner.item(k), tick_index, events)
                     if agent.learning is not before:
                         learned.append(agent)
                         experienced[k] = agent.learning.experienced
@@ -506,7 +504,6 @@ class Simulation:
             adoption_series=tuple(self.adoption_series),
             events=tuple(self._recorded) if self._recorded is not None else None,
             scenario=self.scenario,
-            seed=self.cfg.seed,
         )
 
 

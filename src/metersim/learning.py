@@ -2,8 +2,10 @@
 
 Adoption propensity after t reinforced trials follows a saturating
 exponential P(t) = M * (1 - exp(-k * t)).  M is the highest propensity the
-household can reach, k the learning speed.  Once P(t) reaches the adoption
-threshold the household counts as experienced and stays experienced.
+household can reach, k the learning speed.  trials_to_threshold turns the
+curve and the adoption threshold into one trial count T, or None when no
+finite count reaches it.  A household is experienced from its T-th trial
+on, for good: record_trial and absorb_interaction count against T alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ class LearningState:
     """Per agent learning progress once influenced.
 
     trials_t counts reinforced trials; experienced flips (and stays) true
-    once the learning curve value reaches the adoption threshold.
+    once trials_t reaches the trial count trials_to_threshold gives.
     """
 
     trials_t: int
@@ -75,15 +77,16 @@ def trials_to_threshold(params: LearningParams) -> int | None:
     return t
 
 
-def record_trial(state: LearningState, params: LearningParams) -> LearningState:
-    """One more reinforced trial; experienced is absorbing."""
+def record_trial(state: LearningState, threshold: int | None) -> LearningState:
+    """One more reinforced trial; experienced from the threshold-th trial
+    on (trials_to_threshold's T, never when None) and absorbing."""
     t = state.trials_t + 1
-    experienced = state.experienced or adoption_probability(params, t) >= params.p_threshold
+    experienced = state.experienced or (threshold is not None and t >= threshold)
     return LearningState(trials_t=t, experienced=experienced)
 
 
 def absorb_interaction(
-    recipient: LearningState, donor: LearningState, params: LearningParams,
+    recipient: LearningState, donor: LearningState, threshold: int | None,
 ) -> LearningState:
     """Knowledge flows downhill: a recipient behind the donor gains a trial.
 
@@ -91,5 +94,5 @@ def absorb_interaction(
     ahead recipients are returned unchanged.
     """
     if donor.trials_t > recipient.trials_t:
-        return record_trial(recipient, params)
+        return record_trial(recipient, threshold)
     return recipient

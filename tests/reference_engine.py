@@ -4,9 +4,11 @@ This is the tick loop metersim ran before its engine decided presence,
 switching and chat coins with per-group masks.  It keeps the same streams,
 the same per-day block layout and the same per-agent order, so the engine
 must reproduce its load series, adoption series and event log exactly.
-Only the learning maths, the runtime tables, the network and the stream
+Only the learning curve, the runtime tables, the network and the stream
 helpers come from metersim; each per-agent rule is written out here once
-more in its scalar form.
+more in its scalar form.  Crossings are decided the way they were before
+the engine counted trials against trials_to_threshold: by evaluating
+P(t) >= p_threshold on every trial.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from metersim.behavior import (
 )
 from metersim.domain import Scenario
 from metersim.engine import STREAM_AGENT, STREAM_NETWORK, STREAM_POPULATION, apportion, substream
-from metersim.learning import LearningState, absorb_interaction, record_trial, trials_to_threshold
+from metersim.learning import LearningState, adoption_probability, trials_to_threshold
 from metersim.network import generate_small_world
 
 
@@ -61,6 +63,12 @@ def step_presence(agent: RefAgent, now: int, tick: int, events: list) -> None:
     elif not away:
         agent.at_home = True
         events.append(AgentEvent(tick, agent.agent_id, RETURNED_HOME))
+
+
+def record_trial(state: LearningState, params) -> LearningState:
+    t = state.trials_t + 1
+    return LearningState(t, state.experienced
+                         or adoption_probability(params, t) >= params.p_threshold)
 
 
 def record_daily_trial(agent: RefAgent, tick: int, events: list) -> None:
@@ -104,8 +112,8 @@ def maybe_interact(agent: RefAgent, neighbor_ids, snapshot: list, row: list[floa
     if agent.bonus_trial_today:
         return
     before = agent.learning
-    after = absorb_interaction(before, snapshot[peer], rt.learn_params)
-    if after is not before:
+    if snapshot[peer].trials_t > before.trials_t:
+        after = record_trial(before, rt.learn_params)
         agent.learning = after
         agent.bonus_trial_today = True
         if after.experienced and not before.experienced:
@@ -124,9 +132,11 @@ def reference_run(scenario: Scenario):
 
     agents: list[RefAgent] = []
     gens = []
-    groups = []  # (runtime, first id, count, on_count)
+    groups = []  # (runtime, first id, count, on_count, slot powers from the catalog)
     for rt, count in zip(runtimes, counts):
-        groups.append((rt, len(agents), count, [0] * rt.n_slots))
+        powers = [catalog[app_id].power_watts
+                  for app_id, n in rt.spec.appliances for _ in range(n)]
+        groups.append((rt, len(agents), count, [0] * rt.n_slots, powers))
         for _ in range(count):
             gens.append(substream(cfg.seed, STREAM_AGENT, len(agents)))
             agents.append(RefAgent(len(agents), rt, True, None, [False] * rt.n_slots))
@@ -163,7 +173,7 @@ def reference_run(scenario: Scenario):
                     record_daily_trial(agent, tick, events)
         snapshot = [a.learning for a in agents]
         load = Fraction(0)
-        for rt, first, count, on_count in groups:
+        for rt, first, count, on_count, powers in groups:
             stride = rt.n_slots + 2
             off = 2 + tick_in_day * stride
             for agent in agents[first:first + count]:
@@ -174,7 +184,7 @@ def reference_run(scenario: Scenario):
                     if agent.learning is not None:
                         maybe_interact(agent, adjacency[agent.agent_id], snapshot, row,
                                        tick, events)
-            load += sum(Fraction(p) * c for p, c in zip(rt.slot_powers, on_count))
+            load += sum(Fraction(p) * c for p, c in zip(powers, on_count))
         load_series.append(float(load))
         if tick_in_day == ticks_per_day - 1:
             uninfluenced = sum(a.learning is None for a in agents)

@@ -83,10 +83,11 @@ def test_acceptance_2_threshold_absorption(capsys):
         p_th = m * float(rng.uniform(0.05, 0.95))
         params = LearningParams(m, k, p_th)
         expected = brute_force_threshold(m, k, p_th)
+        threshold = trials_to_threshold(params)
         state = LearningState(0, False)
         crossed_at = None
         for step in range(1, expected + 10):
-            state = record_trial(state, params)
+            state = record_trial(state, threshold)
             if state.experienced and crossed_at is None:
                 crossed_at = step
             if crossed_at is not None and not state.experienced:
@@ -94,7 +95,7 @@ def test_acceptance_2_threshold_absorption(capsys):
         if crossed_at != expected:
             crossing_ok = False
         behind = LearningState(0, False)
-        after = absorb_interaction(state, behind, params)
+        after = absorb_interaction(state, behind, threshold)
         if not after.experienced:
             absorbing_ok = False
     elapsed = time.perf_counter() - started

@@ -26,26 +26,10 @@ from metersim.behavior import (
     switch_mask,
 )
 from metersim.domain import AgentState, validate_scenario
-from metersim.learning import LearningState
+from metersim.learning import LearningState, trials_to_threshold
 from metersim.engine import STREAM_AGENT, Simulation, run, substream
 
 from conftest import daily_times, tiny_doc
-
-
-class ReadLog(list):
-    """A draw row that remembers which positions were read."""
-
-    def __init__(self, values):
-        super().__init__(values)
-        self.read = set()
-
-    def __getitem__(self, i):
-        self.read.add(i)
-        return super().__getitem__(i)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 class RowLog(np.ndarray):
@@ -112,9 +96,11 @@ def coin_lands(agent, rt, draws):
 
 
 def chat_round(agent, neighbor_ids, snapshot, rt, row, tick, events):
-    """One chat round for one agent: maybe_interact runs if its coin lands."""
+    """One chat round for one agent, as the engine runs it: if its coin
+    lands, maybe_interact runs with the group's threshold and the pick."""
     if coin_lands(agent, rt, column(row)):
-        maybe_interact(agent, neighbor_ids, snapshot, rt, row, tick, events)
+        maybe_interact(agent, neighbor_ids, snapshot, trials_to_threshold(rt.learn_params),
+                       row[rt.n_slots + 1], tick, events)
 
 
 def presence_round(agent, home, leave, ret, now, tick, events):
@@ -135,8 +121,11 @@ def chat_row(rt, coin, pick):
     return [0.999] * rt.n_slots + [coin, pick]
 
 
-def watts(rt, on_count):
-    return math.fsum(p * c for p, c in zip(rt.slot_powers, on_count))
+def watts(rt, scenario, on_count):
+    """The load of on_count, with each slot's power from the scenario's catalog."""
+    catalog = {a.id: a.power_watts for a in scenario.appliances}
+    powers = [catalog[label.split("#")[0]] for label in rt.slot_labels]
+    return math.fsum(p * c for p, c in zip(powers, on_count))
 
 
 def build_runtime(**kwargs):
@@ -157,7 +146,7 @@ def make_agent(learning=None, on=None):
 def test_runtime_tables():
     rt, _ = build_runtime(tick=30)
     assert rt.slot_labels == ("heater#0", "shifter#0")
-    assert rt.slot_powers == (100.0, 200.0)
+    assert [n / rt.power_denominator for n in rt.power_numerators] == [100.0, 200.0]
     # heater: flat 0.5 profile, 60 min mean on at 30 min ticks
     assert rt.on_normal[10].tolist() == [0.5, 0.3]
     assert rt.off_normal.tolist() == [0.5, 0.5]
@@ -292,13 +281,13 @@ def test_apply_intervention_once():
 
 
 def test_appliance_tick_switches_on_by_profile():
-    rt, _ = build_runtime(tick=30)
+    rt, scenario = build_runtime(tick=30)
     agent = make_agent()
     events = []
     on_count = switch_round(agent, bucket=10, in_peak=False, rt=rt,
                             row=[0.49, 0.29], tick=3, events=events)
     assert agent.appliance_on == [True, True]
-    assert on_count == [1, 1] and watts(rt, on_count) == 300.0
+    assert on_count == [1, 1] and watts(rt, scenario, on_count) == 300.0
     assert [(e.kind, e.detail) for e in events] == [
         (SWITCHED_ON, "heater#0"), (SWITCHED_ON, "shifter#0"),
     ]
@@ -311,14 +300,14 @@ def test_appliance_tick_switches_on_by_profile():
 
 
 def test_appliance_tick_peak_suppression_for_experienced():
-    rt, _ = build_runtime(tick=30)
+    rt, scenario = build_runtime(tick=30)
     experienced = LearningState(30, True)
     agent = make_agent(learning=experienced)
     # shifter propensity drops 0.3 -> 0.15 inside the peak, heater untouched
     on_count = switch_round(agent, bucket=35, in_peak=True, rt=rt,
                             row=[0.49, 0.29], tick=0, events=None)
     assert agent.appliance_on == [True, False]
-    assert watts(rt, on_count) == 100.0
+    assert watts(rt, scenario, on_count) == 100.0
 
     # inexperienced agents see no suppression
     naive = make_agent(learning=LearningState(1, False))
@@ -334,14 +323,14 @@ def test_appliance_tick_peak_suppression_for_experienced():
 
 
 def test_appliance_tick_doubles_deferrable_switch_off_in_peak():
-    rt, _ = build_runtime(tick=30)
+    rt, scenario = build_runtime(tick=30)
     agent = make_agent(learning=LearningState(30, True), on=[True, True])
     events = []
     on_count = switch_round(agent, bucket=35, in_peak=True, rt=rt,
                             row=[0.6, 0.9], tick=0, events=events)
     # heater keeps its 0.5 off rate (0.6 misses), shifter is pushed to 1.0
     assert agent.appliance_on == [True, False]
-    assert on_count == [1, 0] and watts(rt, on_count) == 300.0 - 200.0
+    assert on_count == [1, 0] and watts(rt, scenario, on_count) == 300.0 - 200.0
     assert [(e.kind, e.detail) for e in events] == [(SWITCHED_OFF, "shifter#0")]
 
 
@@ -365,7 +354,8 @@ def test_maybe_interact_exchange_and_daily_cap():
 def test_each_operation_reads_only_its_row_positions():
     """The draw layout is fixed: switching reads rows 0..slots-1 of the
     group's tick draws, the chat coin row slots and a chat the pick at
-    slots+1 of the agent's column, whatever happens."""
+    slots+1 of the agent's column, whatever happens; maybe_interact is
+    handed the pick alone."""
     rt, _ = build_runtime(rate=0.5, tick=30)
     slots = set(range(rt.n_slots))
     for on in ([False, False], [True, True], [True, False]):
@@ -386,10 +376,10 @@ def test_each_operation_reads_only_its_row_positions():
         landed = coin_lands(agent, rt, draws)
         assert draws.read == {rt.n_slots}
         assert landed == (coin < 0.5)
-        row = ReadLog([0.0, 0.0, coin, 0.2])
         if landed:
-            maybe_interact(agent, (1,), snapshot, rt, row, 0, [])
-        assert row.read <= {rt.n_slots + 1}
+            maybe_interact(agent, (1,), snapshot, trials_to_threshold(rt.learn_params),
+                           float(draws[rt.n_slots + 1, 0]), 0, [])
+            assert draws.read == {rt.n_slots, rt.n_slots + 1}
         assert agent.learning.trials_t == (3 if coin < 0.5 and snapshot[1] else 2)
 
 
@@ -476,9 +466,10 @@ def test_interaction_rate_matches_awareness_times_base_rate():
     n = 200_000
     draws = gen.random((rt.n_slots + 2, n))
     coin = chat_coins(rt, draws, np.ones(n, dtype=bool), np.ones(n, dtype=bool))
-    rows = draws.T.tolist()
+    threshold = trials_to_threshold(rt.learn_params)
     for t in np.flatnonzero(coin).tolist():
-        maybe_interact(agent, (1,), snapshot, rt, rows[t], t, events)
+        maybe_interact(agent, (1,), snapshot, threshold, draws[rt.n_slots + 1, t].item(), t,
+                       events)
     assert len(events) / n == pytest.approx(0.01, abs=1e-3)
 
 

@@ -76,6 +76,36 @@ def test_unparsable_scenario_files_are_refused_not_a_traceback(tmp_path, capsys,
     assert not out.exists()
 
 
+def _empty_peak_window():
+    doc = tiny_doc()
+    doc["scenario"]["peak_window"] = ["18:00", "18:00"]
+    return doc
+
+
+def _deferrable_not_a_bool():
+    doc = tiny_doc()
+    doc["appliances"][0]["deferrable"] = "yes"
+    return doc
+
+
+@pytest.mark.parametrize("content, line", [
+    (list, "BadValue: document root must be an object"),
+    (_empty_peak_window, "BadWindow: scenario: peak_window must be non-empty"),
+    (_deferrable_not_a_bool, "BadValue: appliances[0]: deferrable must be a boolean"),
+], ids=["root-list", "empty-peak-window", "deferrable-yes"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_refused_scenario_is_one_line_on_stderr(tmp_path, capsys, content, line, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content()), encoding="utf-8")
+    out = tmp_path / "o"
+    args = ["--out", str(out), "--events"] if command == "run" else []
+    assert main([command, "--config", str(path), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("population", [2**31, 10**10])
 def test_a_population_beyond_int32_node_ids_is_refused(tmp_path, capsys, population):
     path = tmp_path / "huge.json"
@@ -591,9 +621,16 @@ def test_compare_window_argument(tiny_config, tmp_path, capsys):
     curve_path = run_tiny_and_get_curve(tiny_config, tmp_path)
     assert main(["compare", str(curve_path), str(curve_path),
                  "--window", "00:00-06:00"]) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", str(curve_path), str(curve_path), "--window", "20:00-17:00"])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    for window in ("20:00-17:00", "1700"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(curve_path), str(curve_path), "--window", window])
+        assert exc.value.code == 2
+        # a usage error: the usage, then one line naming the bad option
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: ")
+        assert err[-1].startswith("metersim compare: error: argument --window: ")
+        assert repr(window) in err[-1]
 
 
 def test_compare_rejects_mismatched_and_malformed_curves(tiny_config, tmp_path, capsys):
@@ -812,3 +849,33 @@ def test_overflowing_scenarios_are_refused_not_run(tmp_path, capsys, edit, field
     assert bad and all(field in line for line in bad)
     assert all(line.split(": ", 1)[0].isalpha() for line in lines)
     assert not out.exists()
+
+
+def _threshold_at_the_asymptote(doc):
+    # P(t) rounds up to M = p_threshold by t = 37 at k = 1, yet the curve
+    # never reaches its asymptote, and validation says so
+    doc["scenario"].update(population=100, horizon_days=45, seed=3, p_threshold=0.9)
+    for archetype in doc["archetypes"]:
+        archetype.update(max_attainable_M=0.9, learning_rate_k=1.0)
+
+
+def _seeded_at_the_asymptote(doc):
+    _threshold_at_the_asymptote(doc)
+    doc["scenario"]["initial_experienced_fraction"] = 0.1
+
+
+def test_a_threshold_at_the_asymptote_is_crossed_neither_in_a_run_nor_in_validation(
+        tmp_path, capsys):
+    config = _write_sample_variant(tmp_path, "asymptote.json", _threshold_at_the_asymptote)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO((out / "adoption.csv").read_text(encoding="utf-8"))))
+    assert len(rows) == 1 + 45
+    assert [row[3] for row in rows[1:]] == ["0"] * 45
+    assert rows[-1][1:] == ["0", "100", "0"]
+    capsys.readouterr()
+
+    seeded = _write_sample_variant(tmp_path, "seeded.json", _seeded_at_the_asymptote)
+    assert main(["validate", "--config", seeded]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all("can never reach p_threshold" in line for line in lines)

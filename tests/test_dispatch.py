@@ -46,11 +46,15 @@ def test_every_per_agent_call_acts(monkeypatch, fraction):
         assert agent.appliance_on != before
         calls["appliance_tick"] += 1
 
-    def counted_maybe_interact(agent, neighbor_ids, snapshot, rt, row, tick, events):
+    def counted_maybe_interact(agent, neighbor_ids, snapshot, threshold, u_partner, tick,
+                               events):
         group, k = member[agent.agent_id]
         assert group.home[k] and group.influenced[k] and agent.learning is not None
-        assert row[rt.n_slots] < rt.p_interact  # the coin landed
-        maybe_interact(agent, neighbor_ids, snapshot, rt, row, tick, events)
+        slots = group.rt.n_slots
+        assert group.tick_draws[slots, k] < group.rt.p_interact  # the coin landed
+        assert u_partner == group.tick_draws[slots + 1, k]
+        assert threshold == group.threshold
+        maybe_interact(agent, neighbor_ids, snapshot, threshold, u_partner, tick, events)
         calls["maybe_interact"] += 1
 
     monkeypatch.setattr(engine, "step_presence", counted_step_presence)
@@ -142,9 +146,9 @@ def test_day_boundary_calls_each_learning_step_once_per_agent_it_changes(
         calls.append((tick, agent.agent_id, "intervention"))
         apply_intervention(agent, tick, events)
 
-    def counted_record_daily_trial(agent, params, tick, events):
+    def counted_record_daily_trial(agent, threshold, tick, events):
         calls.append((tick, agent.agent_id, "trial"))
-        record_daily_trial(agent, params, tick, events)
+        record_daily_trial(agent, threshold, tick, events)
 
     monkeypatch.setattr(engine, "apply_intervention", counted_apply_intervention)
     monkeypatch.setattr(engine, "record_daily_trial", counted_record_daily_trial)

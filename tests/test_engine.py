@@ -320,8 +320,8 @@ def test_apportion(total, weights, expected):
 
 
 def test_preseeded_agents_are_experienced_at_threshold(monkeypatch):
-    """The threshold is worked out once per archetype group, and the
-    group's pre-seeded agents share one frozen state."""
+    """The threshold is worked out once per archetype group, seeded or not,
+    and the group's pre-seeded agents share one frozen state at it."""
     thresholds = []
     monkeypatch.setattr(engine, "trials_to_threshold",
                         lambda params: thresholds.append(params) or trials_to_threshold(params))
@@ -338,6 +338,7 @@ def test_preseeded_agents_are_experienced_at_threshold(monkeypatch):
     expected = {"resident": LearningState(trials_t=4, experienced=True),
                 "loner": LearningState(trials_t=8, experienced=True)}
     assert [group.rt.spec.id for group in sim._groups] == list(expected)
+    assert [group.threshold for group in sim._groups] == [4, 8]
     for group in sim._groups:
         picked = [k for k, a in enumerate(group.agents) if a.learning is not None]
         for k in picked:
@@ -347,6 +348,10 @@ def test_preseeded_agents_are_experienced_at_threshold(monkeypatch):
         # the group's flags are set with the agents, at set-up
         flags = [a.learning is not None for a in group.agents]
         assert group.influenced.tolist() == group.experienced.tolist() == flags
+
+    doc["scenario"]["initial_experienced_fraction"] = 0.0
+    Simulation(validate_scenario(doc)).run_all()
+    assert len(thresholds) == 4
 
 
 @pytest.mark.parametrize("pop,frac,expected", [

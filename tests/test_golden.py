@@ -2,7 +2,10 @@
 
 `metersim run --events` on the sample, cut to a one-day horizon, at seeds
 42-46 and experienced fractions 0.0 and 0.9, and over several days at seed
-42: the sample as it stands, and at 8 days with fractions 0.0 and 0.9.  Seed and fraction go through
+42: the sample as it stands, at 8 days with fractions 0.0 and 0.9, and at
+10 000 households over 2 days with fraction 0.5, where each archetype
+group holds thousands of agents and crosses refill chunks.  Seed and
+fraction go through
 the CLI overrides, so a change to the engine, the validator or the
 override path that moves a single output byte fails here.  `metersim
 sweep` on the sample at fractions 0.0, 0.3 and 0.9 holds the paper's
@@ -133,6 +136,28 @@ def test_golden_output_hashes_over_days(sample_path, tmp_path, capsys, horizon, 
     assert code == 0, capsys.readouterr().err
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS)
     assert digests == GOLDEN_DAYS[(horizon, fraction)]
+
+
+# SHA-256 of OUTPUTS at seed 42 for 10 000 households over 2 days at
+# fraction 0.5: 490 390 event rows
+GOLDEN_10K = (
+    "d73f715a864c64379840d164dc295f3f65b4f72e940ced912b208afab28d47a6",
+    "4b17300fc39b82bad760eb7bb503bfb710a47953597afe70d6390bd62e77ae76",
+    "0f365ddcb2e3b3c71d9f5b4223f468d2fac9a44b2a3e5b0d86dd1311c156ff1b",
+)
+
+
+def test_golden_output_hashes_at_10k_households(sample_path, tmp_path, capsys):
+    with open(sample_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["scenario"].update(population=10_000, horizon_days=2, initial_experienced_fraction=0.5)
+    config = tmp_path / "sample_10k.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--out", str(out), "--events", "--seed", "42"])
+    assert code == 0, capsys.readouterr().err
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS)
+    assert digests == GOLDEN_10K
 
 
 # SHA-256 of the sweep CSV at seed 42, and its peak_reduction column

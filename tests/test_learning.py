@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from metersim.learning import (
@@ -86,35 +86,41 @@ def test_trials_to_threshold_finds_counts_up_to_the_float_limit():
 
 
 def test_record_trial_increments_and_is_absorbing():
-    params = LearningParams(1.0, 2.0, 0.85)
+    threshold = trials_to_threshold(LearningParams(1.0, 2.0, 0.85))
     state = LearningState(0, False)
-    state = record_trial(state, params)
+    state = record_trial(state, threshold)
     assert state == LearningState(1, True)
     # more trials never clear the flag
-    state = record_trial(state, params)
+    state = record_trial(state, threshold)
     assert state.trials_t == 2 and state.experienced
+    # nor does a threshold the state has not reached, or none at all
+    assert record_trial(LearningState(2, True), 9) == LearningState(3, True)
+    assert record_trial(LearningState(2, True), None) == LearningState(3, True)
 
 
 def test_record_trial_crosses_exactly_at_threshold():
-    params = LearningParams(1.0, 0.1, 0.85)
+    threshold = trials_to_threshold(LearningParams(1.0, 0.1, 0.85))
+    assert threshold == 19
     state = LearningState(0, False)
     for t in range(1, 25):
-        state = record_trial(state, params)
+        state = record_trial(state, threshold)
         assert state.trials_t == t
         assert state.experienced == (t >= 19)
 
 
 def test_absorb_only_from_ahead_donor():
-    params = LearningParams(1.0, 0.1, 0.85)
     behind = LearningState(2, False)
     ahead = LearningState(7, False)
-    gained = absorb_interaction(behind, ahead, params)
-    assert gained.trials_t == 3
+    gained = absorb_interaction(behind, ahead, 19)
+    assert gained == LearningState(3, False)
     # donor state is a value, unchanged by construction
     assert ahead.trials_t == 7
     # no flow when equal or when the recipient is ahead
-    assert absorb_interaction(ahead, behind, params) is ahead
-    assert absorb_interaction(behind, LearningState(2, False), params) is behind
+    assert absorb_interaction(ahead, behind, 19) is ahead
+    assert absorb_interaction(behind, LearningState(2, False), 19) is behind
+    # the gained trial crosses as record_trial's does
+    assert absorb_interaction(behind, ahead, 3) == LearningState(3, True)
+    assert absorb_interaction(behind, ahead, None) == LearningState(3, False)
 
 
 def test_params_validated():
@@ -173,8 +179,45 @@ def test_absorption_never_regresses(params, t_recipient, t_donor):
         t_donor,
         adoption_probability(params, t_donor) >= params.p_threshold,
     )
-    after = absorb_interaction(recipient, donor, params)
+    after = absorb_interaction(recipient, donor, trials_to_threshold(params))
     assert after.trials_t >= recipient.trials_t
     assert after.trials_t <= recipient.trials_t + 1
     if recipient.experienced:
         assert after.experienced
+
+
+@st.composite
+def validator_params(draw):
+    """M, k and p anywhere in the ranges the validator accepts, p = M
+    included, with k log-uniform over seven decades."""
+    m = draw(st.floats(0.0, 1.0, exclude_min=True))
+    p = draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(m))
+    return LearningParams(m, 10.0 ** draw(st.floats(-4.0, 3.0)), p)
+
+
+# past this trial count exp(-k t) < 2**-54, so P(t) rounds to M exactly
+SATURATION_KT = 40.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(validator_params())
+@example(LearningParams(0.9, 1.0, 0.9))
+@example(LearningParams(1.0, 0.1, 0.85))
+def test_experienced_exactly_from_the_threshold_count(params):
+    """A chain of record_trial calls from LearningState(0, False) is
+    experienced exactly when t >= T = trials_to_threshold, for every t up
+    to T + 2.  Where T is None no chain crosses, not even past the count
+    where P(t) rounds up to M and so reaches a threshold p = M."""
+    threshold = trials_to_threshold(params)
+    if threshold is None:
+        last = math.ceil(SATURATION_KT / params.learning_rate_k) + 2
+    else:
+        last = threshold + 2
+    assume(last <= 10**5 + 2)
+    if params.p_threshold == params.max_attainable_M:
+        assert adoption_probability(params, last) >= params.p_threshold
+    state = LearningState(0, False)
+    for t in range(1, last + 1):
+        state = record_trial(state, threshold)
+        assert state.trials_t == t
+        assert state.experienced == (threshold is not None and t >= threshold)

@@ -201,6 +201,12 @@ def test_node_ids_must_fit_int32():
         generate_small_world(2**31, 4, 0.1, rng())
 
 
+@pytest.mark.parametrize("beta", [-0.1, 1.1, math.nan])
+def test_rewire_probability_must_be_in_the_unit_interval(beta):
+    with pytest.raises(ValueError, match="rewire probability"):
+        generate_small_world(10, 4, beta, rng())
+
+
 @pytest.mark.parametrize("n", [2, 3, 5000, 2**31 + 1, 2**32 - 1])
 @pytest.mark.parametrize("cached_half", [None, 2**32 - 1])
 def test_bounded_draw_is_numpy_integers(n, cached_half):

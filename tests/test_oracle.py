@@ -90,10 +90,12 @@ def assert_groups_mirror_agents(sim):
         assert group.experienced.tolist() == [
             a.learning is not None and a.learning.experienced for a in agents]
     assert sim._snapshot == [a.learning for a in sim.agents]
-    # the tick's load is the exactly rounded sum of the slots the agents have on
+    # the tick's load is the exactly rounded sum of the slots the agents have
+    # on, each at its power in the scenario's catalog
+    catalog = {a.id: a.power_watts for a in sim.scenario.appliances}
     assert sim.load_series[-1] == float(sum(
-        Fraction(power) * sum(a.appliance_on[j] for a in group.agents)
-        for group in sim._groups for j, power in enumerate(group.rt.slot_powers)))
+        Fraction(catalog[label.split("#")[0]]) * sum(a.appliance_on[j] for a in group.agents)
+        for group in sim._groups for j, label in enumerate(group.rt.slot_labels)))
 
 
 def assert_engine_matches_reference(doc):
