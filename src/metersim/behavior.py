@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import AgentState, ApplianceSpec, ArchetypeSpec, ScenarioConfig
+from .domain import PROFILE_BUCKETS, AgentState, ApplianceSpec, ArchetypeSpec, ScenarioConfig
 from .learning import LearningParams, LearningState, absorb_interaction, record_trial
 
 LEFT_HOME = "LeftHome"
@@ -100,7 +100,7 @@ class ArchetypeRuntime:
             off_normal = np.minimum(1.0, config.tick_minutes / mean_on)
         denominator = max(spec.power_watts.as_integer_ratio()[1] for spec in catalog.values())
         profiles = np.array([spec.usage_profile for spec in slots], dtype=np.float64)
-        on_normal = profiles.reshape(len(slots), 48).T  # a (48, 0) table without appliances
+        on_normal = profiles.reshape(len(slots), PROFILE_BUCKETS).T  # (buckets, 0) with no slots
 
         return cls(
             spec=arch,

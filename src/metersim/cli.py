@@ -30,16 +30,17 @@ except ImportError:  # not on Windows
 
 from . import __version__
 from .behavior import AgentEvent
-from .domain import DEFAULT_PEAK_WINDOW, Scenario, ScenarioValidationError, TimeOfDay, load_scenario
+from .domain import (BUCKET_MINUTES, DEFAULT_PEAK_WINDOW, Scenario, ScenarioValidationError,
+                     TimeOfDay, load_scenario)
 from .engine import STREAM_ANALYSIS, STREAM_NETWORK, Simulation, run, substream
 from .metrics import (
-    DEFAULT_BUCKET_MINUTES,
     BadCurve,
     aggregate_load,
     peak_reduction,
     peak_stats,
     pearson_correlation,
     read_load_curve,
+    window_buckets,
     window_mean,
     write_load_curve,
 )
@@ -174,7 +175,7 @@ def cmd_run(args: argparse.Namespace) -> None:
         # the agents and network are dead once the output is built; held
         # through the writing below they raise the peak memory
         del sim
-        curve = aggregate_load(output, DEFAULT_BUCKET_MINUTES)
+        curve = aggregate_load(output)
 
         files = ["loadcurve.csv", "adoption.csv"] + (["events.csv"] if args.events else [])
         # opened here first, so that a failure removes it only once the
@@ -261,13 +262,20 @@ def cmd_validate(args: argparse.Namespace) -> None:
     print("ok")
 
 
+def _fraction_label(fraction: float) -> str:
+    """fraction to two decimals when they read back as the same float, else its repr."""
+    text = f"{fraction:.2f}"
+    return text if float(text) == fraction else repr(fraction)
+
+
 def cmd_sweep(args: argparse.Namespace) -> None:
-    # every fraction is validated before the first run
+    # every fraction and the window are checked before the first run
     scenarios = [_load_scenario(args, fraction) for fraction in args.fractions]
+    window = scenarios[0].config.peak_window
+    window_buckets(BUCKET_MINUTES, window)
 
     # same seed for every fraction: the runs stay draw aligned, so the
     # differences are behavioural; the first fraction is the baseline
-    window = scenarios[0].config.peak_window
     curves = [aggregate_load(run(scenario)) for scenario in scenarios]
     rows = [(fraction, window_mean(curve, window), peak_reduction(curves[0], curve, window))
             for fraction, curve in zip(args.fractions, curves)]
@@ -276,12 +284,12 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("experienced_fraction", "peak_window_mean_watts", "peak_reduction"))
             for fraction, peak_mean, reduction in rows:
-                writer.writerow((f"{fraction:.2f}", f"{peak_mean:.3f}", f"{reduction:.6f}"))
+                writer.writerow((_fraction_label(fraction), f"{peak_mean:.3f}", f"{reduction:.6f}"))
 
     print(f"window {window[0]}-{window[1]}, seed {scenarios[0].config.seed}")
     print("fraction  peak window mean (W)  reduction")
     for fraction, peak_mean, reduction in rows:
-        print(f"{fraction:>8.2f}  {peak_mean:>20.0f}  {reduction:>9.2%}")
+        print(f"{_fraction_label(fraction):>8}  {peak_mean:>20.0f}  {reduction:>9.2%}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,8 +19,8 @@ from .learning import LearningParams, LearningState, trials_to_threshold
 from .network import MAX_NODES
 
 MINUTES_PER_DAY = 1440
-PROFILE_BUCKETS = 48  # half hour switch-on propensity buckets
-DEFAULT_BUCKET_MINUTES = 30  # the load curve run writes; a tick must divide it
+BUCKET_MINUTES = 30  # the half hour grid of usage profiles and load curves; ticks divide it
+PROFILE_BUCKETS = MINUTES_PER_DAY // BUCKET_MINUTES
 
 # violation codes used by validate_scenario
 MIX_NOT_NORMALIZED = "MixNotNormalized"
@@ -74,11 +74,11 @@ DEFAULT_PEAK_WINDOW = (TimeOfDay(17 * 60), TimeOfDay(20 * 60))
 class ApplianceSpec:
     """One appliance type from the catalog.
 
-    usage_profile holds 48 half hour switch-on propensities in [0, 1],
-    applied per tick while the household is at home.  mean_on_minutes is
-    the average on stretch used to derive the per tick switch-off
-    probability; None means the appliance never switches itself off
-    (always-on base load such as cold appliances).
+    usage_profile holds a switch-on propensity in [0, 1] per half hour
+    bucket, applied per tick while the household is at home.
+    mean_on_minutes is the average on stretch used to derive the per tick
+    switch-off probability; None means the appliance never switches itself
+    off (always-on base load such as cold appliances).
     """
 
     id: str
@@ -405,9 +405,9 @@ def _parse_scenario_section(obj: Mapping[str, Any], errs: _Collector) -> Scenari
     if tick is not None and MINUTES_PER_DAY % tick != 0:
         errs.add(BAD_VALUE, f"{where}: tick_minutes must divide {MINUTES_PER_DAY}, got {tick}")
         del values["tick_minutes"]
-    elif tick is not None and DEFAULT_BUCKET_MINUTES % tick != 0:
+    elif tick is not None and BUCKET_MINUTES % tick != 0:
         errs.add(BAD_BUCKET, f"{where}: tick_minutes {tick} does not divide the "
-                             f"{DEFAULT_BUCKET_MINUTES} minute output bucket")
+                             f"{BUCKET_MINUTES} minute output bucket")
         del values["tick_minutes"]
 
     if "peak_window" in obj:

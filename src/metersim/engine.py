@@ -77,7 +77,7 @@ from .behavior import (
     step_presence,
     switch_mask,
 )
-from .domain import AgentState, Scenario
+from .domain import BUCKET_MINUTES, AgentState, Scenario
 from .learning import LearningState, trials_to_threshold
 from .network import generate_small_world
 
@@ -434,7 +434,7 @@ class Simulation:
         tick_index = self._tick_index
         day, tick_in_day = divmod(tick_index, self.ticks_per_day)
         now = tick_in_day * cfg.tick_minutes
-        bucket = now // 30
+        bucket = now // BUCKET_MINUTES
         in_peak = cfg.peak_window[0].minutes <= now < cfg.peak_window[1].minutes
         events = self.tick_events
 

@@ -1,8 +1,10 @@
 """Load curve aggregation and comparison statistics.
 
 A LoadCurve is a day profile: mean demand in watts per time-of-day bucket,
-averaged over every simulated day.  The canonical exchange format is a
-half hour curve (48 buckets) written as CSV with header
+averaged over every simulated day.  A curve is its values, which cut the
+day into equal buckets of bucket_minutes.  aggregate_load(output) gives a
+run's curve on the half hour grid of domain.BUCKET_MINUTES; the rest take
+any bucketing that divides the day.  The exchange format is CSV with header
 "bucket_start_min,mean_watts", values to three decimals, LF line endings.
 Every refused curve or statistic raises BadCurve or a subclass of it.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DEFAULT_BUCKET_MINUTES, MINUTES_PER_DAY, TimeOfDay
+from .domain import BUCKET_MINUTES, MINUTES_PER_DAY, PROFILE_BUCKETS, TimeOfDay
 from .engine import SimOutput
 
 CSV_HEADER = ("bucket_start_min", "mean_watts")
@@ -26,7 +28,7 @@ class BadCurve(ValueError):
 
 
 class BadBucketError(BadCurve):
-    """Bucket width incompatible with the day length or tick size."""
+    """A bucket count that does not cut the day, or a tick that does not divide the bucket."""
 
 
 class LengthMismatchError(BadCurve):
@@ -43,48 +45,38 @@ class ZeroBaseError(BadCurve):
 
 @dataclass(frozen=True)
 class LoadCurve:
-    bucket_minutes: int
-    values: tuple[float, ...]  # mean watts per bucket, non-negative
+    """Mean watts per bucket, for a day cut into len(values) equal buckets."""
+
+    values: tuple[float, ...]  # non-negative
 
     def __post_init__(self) -> None:
-        if self.bucket_minutes <= 0 or MINUTES_PER_DAY % self.bucket_minutes != 0:
-            raise BadBucketError(
-                f"bucket_minutes must divide {MINUTES_PER_DAY}, got {self.bucket_minutes}"
-            )
-        expected = MINUTES_PER_DAY // self.bucket_minutes
-        if len(self.values) != expected:
-            raise BadBucketError(
-                f"expected {expected} buckets of {self.bucket_minutes} min, got {len(self.values)}"
-            )
+        if not self.values or MINUTES_PER_DAY % len(self.values) != 0:
+            raise BadBucketError(f"{len(self.values)} buckets do not cut a day evenly")
         if any(v < 0 or not math.isfinite(v) for v in self.values):
             raise BadCurve("curve values must be finite and non-negative")
 
+    @property
+    def bucket_minutes(self) -> int:
+        return MINUTES_PER_DAY // len(self.values)
 
-def aggregate_load(output: SimOutput, bucket_minutes: int = DEFAULT_BUCKET_MINUTES) -> LoadCurve:
-    """Fold a run's tick series into a time-of-day curve.
+
+def aggregate_load(output: SimOutput) -> LoadCurve:
+    """Fold a run's tick series into its half hour time-of-day curve.
 
     Bucket means average every tick sample that falls in the bucket across
     all days, which preserves daily energy.  Each mean is exactly rounded:
-    the samples are summed exactly and divided once.  The bucket width must
-    be a multiple of the tick size and divide the day.
+    the samples are summed exactly and divided once.  The tick must divide
+    BUCKET_MINUTES, as validation holds a scenario to.
     """
     tick_minutes = output.scenario.config.tick_minutes
-    if (
-        bucket_minutes <= 0
-        or bucket_minutes % tick_minutes != 0
-        or MINUTES_PER_DAY % bucket_minutes != 0
-    ):
+    if BUCKET_MINUTES % tick_minutes != 0:
         raise BadBucketError(
-            f"bucket of {bucket_minutes} min incompatible with {tick_minutes} min ticks"
+            f"{tick_minutes} min ticks do not divide the {BUCKET_MINUTES} min bucket"
         )
-    ticks_per_day = MINUTES_PER_DAY // tick_minutes
-    ticks_per_bucket = bucket_minutes // tick_minutes
-    buckets = MINUTES_PER_DAY // bucket_minutes
     samples = np.asarray(output.load_series, dtype=np.float64)
-    days = samples.size // ticks_per_day
-    by_bucket = samples.reshape(days, buckets, ticks_per_bucket).transpose(1, 0, 2)
-    means = tuple(_exact_mean(row) for row in by_bucket.reshape(buckets, -1).tolist())
-    return LoadCurve(bucket_minutes=bucket_minutes, values=means)
+    by_bucket = samples.reshape(-1, PROFILE_BUCKETS, BUCKET_MINUTES // tick_minutes)
+    rows = by_bucket.transpose(1, 0, 2).reshape(PROFILE_BUCKETS, -1).tolist()
+    return LoadCurve(tuple(_exact_mean(row) for row in rows))
 
 
 def _exact_mean(values: list[float]) -> float:
@@ -97,7 +89,7 @@ def _exact_mean(values: list[float]) -> float:
 
 def pearson_correlation(a: LoadCurve, b: LoadCurve) -> float:
     """Pearson correlation between two equally bucketed curves."""
-    if a.bucket_minutes != b.bucket_minutes or len(a.values) != len(b.values):
+    if len(a.values) != len(b.values):
         raise LengthMismatchError(
             f"curves differ in shape: {len(a.values)}x{a.bucket_minutes}min vs "
             f"{len(b.values)}x{b.bucket_minutes}min"
@@ -122,20 +114,19 @@ def peak_stats(curve: LoadCurve) -> tuple[TimeOfDay, float]:
     return TimeOfDay(best * curve.bucket_minutes), curve.values[best]
 
 
-def _window_slice(curve: LoadCurve, window: tuple[TimeOfDay, TimeOfDay]) -> list[float]:
-    start, end = window[0].minutes, window[1].minutes
-    picked = [
-        v for i, v in enumerate(curve.values)
-        if start <= i * curve.bucket_minutes < end
-    ]
-    if not picked:
+def window_buckets(bucket_minutes: int, window: tuple[TimeOfDay, TimeOfDay]) -> slice:
+    """The buckets bucket_minutes wide whose start lies in the window's
+    [start, end), as a slice of a curve's values.  Raises BadCurve when
+    the window holds no bucket start."""
+    first, stop = (-(-t.minutes // bucket_minutes) for t in window)  # rounded up
+    if first >= stop:
         raise BadCurve(f"window {window[0]}-{window[1]} covers no bucket")
-    return picked
+    return slice(first, stop)
 
 
 def window_mean(curve: LoadCurve, window: tuple[TimeOfDay, TimeOfDay]) -> float:
     """Mean demand over the buckets whose start lies inside the window."""
-    picked = _window_slice(curve, window)
+    picked = curve.values[window_buckets(curve.bucket_minutes, window)]
     return sum(picked) / len(picked)
 
 
@@ -143,7 +134,7 @@ def peak_reduction(
     base: LoadCurve, treated: LoadCurve, window: tuple[TimeOfDay, TimeOfDay],
 ) -> float:
     """Relative demand drop in a window: 1 - treated mean / base mean."""
-    if base.bucket_minutes != treated.bucket_minutes or len(base.values) != len(treated.values):
+    if len(base.values) != len(treated.values):
         raise LengthMismatchError("curves differ in bucketing")
     base_mean = window_mean(base, window)
     treated_mean = window_mean(treated, window)
@@ -192,11 +183,10 @@ def read_load_curve(path: str) -> LoadCurve:
         raise BadCurve(f"{path}: no data rows")
     if MINUTES_PER_DAY % len(values) != 0:
         raise BadCurve(f"{path}: {len(values)} rows do not divide a day evenly")
-    bucket_minutes = MINUTES_PER_DAY // len(values)
-    expected_starts = [i * bucket_minutes for i in range(len(values))]
-    if starts != expected_starts:
-        raise BadCurve(f"{path}: bucket_start_min column is not a uniform day grid")
     try:
-        return LoadCurve(bucket_minutes=bucket_minutes, values=tuple(values))
+        curve = LoadCurve(tuple(values))
     except BadCurve as exc:
         raise BadCurve(f"{path}: {exc}") from exc
+    if starts != [i * curve.bucket_minutes for i in range(len(values))]:
+        raise BadCurve(f"{path}: bucket_start_min column is not a uniform day grid")
+    return curve

@@ -88,11 +88,19 @@ def _deferrable_not_a_bool():
     return doc
 
 
+def _window_bound_not_clock_text():
+    doc = tiny_doc()
+    doc["archetypes"][0]["leave_window"] = [830, "09:30"]
+    return doc
+
+
 @pytest.mark.parametrize("content, line", [
     (list, "BadValue: document root must be an object"),
     (_empty_peak_window, "BadWindow: scenario: peak_window must be non-empty"),
     (_deferrable_not_a_bool, "BadValue: appliances[0]: deferrable must be a boolean"),
-], ids=["root-list", "empty-peak-window", "deferrable-yes"])
+    (_window_bound_not_clock_text,
+     "BadWindow: archetypes[0]: 'leave_window': expected HH:MM string, got 830"),
+], ids=["root-list", "empty-peak-window", "deferrable-yes", "window-bound-830"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_a_refused_scenario_is_one_line_on_stderr(tmp_path, capsys, content, line, command):
     path = tmp_path / "bad.json"
@@ -520,7 +528,7 @@ def test_run_fractional_wattages_give_a_non_negative_curve(tmp_path):
 
 
 def test_run_reports_a_bad_curve_instead_of_a_traceback(tiny_config, tmp_path, capsys, monkeypatch):
-    def refuse(output, bucket_minutes):
+    def refuse(output):
         raise BadCurve("curve values must be finite and non-negative")
 
     monkeypatch.setattr(cli, "aggregate_load", refuse)
@@ -532,7 +540,7 @@ def test_run_reports_a_bad_curve_instead_of_a_traceback(tiny_config, tmp_path, c
 
 def test_run_with_events_reports_a_bad_curve_and_leaves_no_outputs(
         tiny_config, tmp_path, capsys, monkeypatch):
-    def refuse(output, bucket_minutes):
+    def refuse(output):
         raise BadCurve("curve values must be finite and non-negative")
 
     monkeypatch.setattr(cli, "aggregate_load", refuse)
@@ -606,7 +614,7 @@ def test_compare_identical_curves(tiny_config, tmp_path, capsys):
 def test_compare_uniformly_scaled_curve(tiny_config, tmp_path, capsys):
     curve_path = run_tiny_and_get_curve(tiny_config, tmp_path)
     base = read_load_curve(str(curve_path))
-    treated = LoadCurve(base.bucket_minutes, tuple(0.8 * v for v in base.values))
+    treated = LoadCurve(tuple(0.8 * v for v in base.values))
     treated_path = tmp_path / "treated.csv"
     write_load_curve(treated, str(treated_path))
     capsys.readouterr()
@@ -635,7 +643,7 @@ def test_compare_window_argument(tiny_config, tmp_path, capsys):
 
 def test_compare_rejects_mismatched_and_malformed_curves(tiny_config, tmp_path, capsys):
     curve_path = run_tiny_and_get_curve(tiny_config, tmp_path)
-    coarse = LoadCurve(60, tuple(float(i) for i in range(24)))
+    coarse = LoadCurve(tuple(float(i) for i in range(24)))
     coarse_path = tmp_path / "coarse.csv"
     write_load_curve(coarse, str(coarse_path))
     assert main(["compare", str(curve_path), str(coarse_path)]) == 2
@@ -809,6 +817,40 @@ def test_sweep_rows_match_runs_at_each_fraction(tiny_config, tmp_path, capsys):
         for f, c in zip(fractions, curves)
     ]
     assert rows[1][2] == "0.000000" and float(rows[3][2]) != 0.0
+
+
+@pytest.mark.parametrize("fractions, labels", [
+    ("0.121,0.124", ["0.121", "0.124"]),
+    ("0.0,0.125,0.9", ["0.00", "0.125", "0.90"]),
+], ids=["apart-at-two-decimals", "two-decimals-where-exact"])
+def test_sweep_rows_name_their_fraction_exactly(tiny_config, tmp_path, capsys, fractions, labels):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", tiny_config(), "--fractions", fractions,
+                 "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == labels
+    table = capsys.readouterr().out.splitlines()[2:]
+    assert [line.split()[0] for line in table] == labels
+
+
+def test_sweep_refuses_a_window_that_covers_no_bucket_before_any_run(tmp_path, capsys, monkeypatch):
+    def refuse(scenario):
+        raise AssertionError("a fraction ran before the window was checked")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    doc = tiny_doc()
+    doc["scenario"]["peak_window"] = ["17:05", "17:20"]
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--config", str(config)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o" / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--fractions", "0.0,0.5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "BadCurve: window 17:05-17:20 covers no bucket\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 def _write_sample_variant(tmp_path, name, edit):

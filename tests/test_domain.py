@@ -60,6 +60,9 @@ def test_time_of_day_range_checked():
         TimeOfDay(1440)
     with pytest.raises(ValueError):
         TimeOfDay(-1)
+    for not_an_int in ("x", 30.0, True):
+        with pytest.raises(ValueError, match="minutes must be an int"):
+            TimeOfDay(not_an_int)
 
 
 def test_sample_config_round_trip(sample_path):

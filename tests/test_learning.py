@@ -51,6 +51,8 @@ def test_negative_trials_rejected():
     params = LearningParams(1.0, 0.1, 0.85)
     with pytest.raises(ValueError):
         adoption_probability(params, -1)
+    with pytest.raises(ValueError, match="trials_t must be non-negative"):
+        LearningState(-1, False)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from metersim.domain import TimeOfDay
 from metersim.metrics import (
     CSV_HEADER,
     BadBucketError,
+    BadCurve,
     DegenerateCurveError,
     LengthMismatchError,
     LoadCurve,
@@ -20,6 +21,7 @@ from metersim.metrics import (
     peak_stats,
     pearson_correlation,
     read_load_curve,
+    window_buckets,
     window_mean,
     write_load_curve,
 )
@@ -34,8 +36,12 @@ def fake_output(series, tick_minutes):
     )
 
 
+TICKS_DIVIDING_THE_BUCKET = [1, 2, 3, 5, 6, 10, 15, 30]
+BUCKET_COUNTS = [n for n in range(1, 1441) if 1440 % n == 0]  # those that cut the day evenly
+
+
 def curve48(values):
-    return LoadCurve(bucket_minutes=30, values=tuple(float(v) for v in values))
+    return LoadCurve(tuple(float(v) for v in values))
 
 
 def test_aggregate_means_across_days():
@@ -54,59 +60,57 @@ def test_aggregate_means_within_bucket():
 
 def test_aggregate_preserves_energy():
     rng = np.random.default_rng(4)
-    tick = 15
     days = 3
-    series = rng.uniform(0.0, 2000.0, size=days * (1440 // tick))
-    total_energy = float(series.sum()) * tick  # watt minutes over the run
-    for bucket in (15, 30, 60, 240, 1440):
-        curve = aggregate_load(fake_output(series, tick), bucket_minutes=bucket)
-        curve_energy = sum(curve.values) * bucket * days
+    for tick in TICKS_DIVIDING_THE_BUCKET:
+        series = rng.uniform(0.0, 2000.0, size=days * (1440 // tick))
+        total_energy = float(series.sum()) * tick  # watt minutes over the run
+        curve = aggregate_load(fake_output(series, tick))
+        curve_energy = sum(curve.values) * 30 * days
         assert curve_energy == pytest.approx(total_energy, rel=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    tick_bucket=st.sampled_from([(1, 30), (5, 30), (10, 30), (15, 30), (30, 30), (10, 60), (60, 240)]),
+    tick=st.sampled_from(TICKS_DIVIDING_THE_BUCKET),
     copies=st.integers(1, 60),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_copies_of_one_day_give_that_days_curve(tick_bucket, copies, seed):
+def test_copies_of_one_day_give_that_days_curve(tick, copies, seed):
     """Bucket means are exactly rounded, so repeating a day of fractional
     samples leaves its curve as it is."""
-    tick, bucket = tick_bucket
     day = np.round(np.random.default_rng(seed).uniform(0.0, 5000.0, 1440 // tick), 3)
-    curve = aggregate_load(fake_output(day, tick), bucket_minutes=bucket)
-    by_bucket = day.reshape(1440 // bucket, -1).tolist()
+    curve = aggregate_load(fake_output(day, tick))
+    by_bucket = day.reshape(48, -1).tolist()
     assert curve.values == tuple(float(sum(map(Fraction, b)) / len(b)) for b in by_bucket)
-    assert aggregate_load(fake_output(np.tile(day, copies), tick), bucket_minutes=bucket) == curve
+    assert aggregate_load(fake_output(np.tile(day, copies), tick)) == curve
 
 
-@pytest.mark.parametrize("tick,bucket", [(10, 25), (30, 45), (10, 7), (30, 0), (30, -30)])
-def test_aggregate_rejects_incompatible_bucket(tick, bucket):
+@pytest.mark.parametrize("tick", [20, 45, 7])
+def test_aggregate_rejects_a_tick_that_does_not_divide_the_bucket(tick):
     series = [0.0] * (1440 // tick)
-    with pytest.raises(BadBucketError):
-        aggregate_load(fake_output(series, tick), bucket_minutes=bucket)
+    with pytest.raises(BadBucketError, match=f"^{tick} min ticks do not divide the 30 min bucket$"):
+        aggregate_load(fake_output(series, tick))
 
 
 def test_curve_validation():
-    with pytest.raises(BadBucketError):
-        LoadCurve(bucket_minutes=30, values=tuple([0.0] * 47))
-    with pytest.raises(BadBucketError):
-        LoadCurve(bucket_minutes=50, values=tuple([0.0] * 28))
+    with pytest.raises(BadBucketError, match="^47 buckets do not cut a day evenly$"):
+        LoadCurve(tuple([0.0] * 47))
+    with pytest.raises(BadBucketError, match="^0 buckets do not cut a day evenly$"):
+        LoadCurve(())
     with pytest.raises(ValueError):
-        LoadCurve(bucket_minutes=720, values=(1.0, -2.0))
+        LoadCurve((1.0, -2.0))
     with pytest.raises(ValueError):
-        LoadCurve(bucket_minutes=720, values=(1.0, float("nan")))
+        LoadCurve((1.0, float("nan")))
 
 
 def test_pearson_known_values():
-    a = LoadCurve(360, (1.0, 2.0, 3.0, 4.0))
-    assert pearson_correlation(a, LoadCurve(360, (2.0, 4.0, 6.0, 8.0))) == pytest.approx(1.0)
-    assert pearson_correlation(a, LoadCurve(360, (8.0, 6.0, 4.0, 2.0))) == pytest.approx(-1.0)
+    a = LoadCurve((1.0, 2.0, 3.0, 4.0))
+    assert pearson_correlation(a, LoadCurve((2.0, 4.0, 6.0, 8.0))) == pytest.approx(1.0)
+    assert pearson_correlation(a, LoadCurve((8.0, 6.0, 4.0, 2.0))) == pytest.approx(-1.0)
     # by hand: dx=(-2,-1,0,3), dy=(-0.75,-1.75,0.25,2.25),
     # dot=10, |dx|^2=14, |dy|^2=8.75
-    b = LoadCurve(360, (1.0, 0.0, 2.0, 4.0))
-    x = LoadCurve(360, (0.0, 1.0, 2.0, 5.0))
+    b = LoadCurve((1.0, 0.0, 2.0, 4.0))
+    x = LoadCurve((0.0, 1.0, 2.0, 5.0))
     assert pearson_correlation(x, b) == pytest.approx(10.0 / math.sqrt(14.0 * 8.75), abs=1e-12)
 
 
@@ -122,8 +126,8 @@ def test_pearson_symmetry_and_affine_invariance():
 
 def test_pearson_errors():
     a = curve48([1.0] * 47 + [2.0])
-    with pytest.raises(LengthMismatchError):
-        pearson_correlation(a, LoadCurve(60, tuple([1.0] * 24)))
+    with pytest.raises(LengthMismatchError, match="^curves differ in shape: 48x30min vs 24x60min$"):
+        pearson_correlation(a, LoadCurve(tuple([1.0] * 24)))
     with pytest.raises(DegenerateCurveError):
         pearson_correlation(a, curve48([7.0] * 48))
 
@@ -152,6 +156,19 @@ def test_window_mean():
         window_mean(curve48(values), (TimeOfDay.parse("17:00"), TimeOfDay.parse("17:00")))
 
 
+@settings(max_examples=300, deadline=None)
+@given(buckets=st.sampled_from(BUCKET_COUNTS), start=st.integers(0, 1439), end=st.integers(0, 1439))
+def test_window_buckets_are_those_whose_start_lies_in_the_window(buckets, start, end):
+    width = 1440 // buckets
+    window = (TimeOfDay(start), TimeOfDay(end))
+    inside = [i for i in range(buckets) if start <= i * width < end]
+    if inside:
+        assert list(range(buckets))[window_buckets(width, window)] == inside
+    else:
+        with pytest.raises(BadCurve, match=f"^window {window[0]}-{window[1]} covers no bucket$"):
+            window_buckets(width, window)
+
+
 def test_peak_reduction_examples():
     window = (TimeOfDay.parse("17:00"), TimeOfDay.parse("20:00"))
     base = curve48([500.0] * 48)
@@ -170,7 +187,7 @@ def test_peak_reduction_errors():
     with pytest.raises(ZeroBaseError):
         peak_reduction(zero, curve48([1.0] * 48), window)
     with pytest.raises(LengthMismatchError):
-        peak_reduction(curve48([1.0] * 48), LoadCurve(60, tuple([1.0] * 24)), window)
+        peak_reduction(curve48([1.0] * 48), LoadCurve(tuple([1.0] * 24)), window)
 
 
 def test_csv_write_format(tmp_path):
@@ -198,9 +215,26 @@ def test_csv_round_trip(tmp_path):
     back = read_load_curve(str(path))
     assert back == curve
 
-    fine = LoadCurve(10, tuple(float(i) for i in range(144)))
+    fine = LoadCurve(tuple(float(i) for i in range(144)))
     write_load_curve(fine, str(path))
     assert read_load_curve(str(path)).bucket_minutes == 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    buckets=st.sampled_from(BUCKET_COUNTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_round_trip_for_every_bucketing_of_the_day(tmp_path_factory, buckets, seed):
+    """A curve written and read back is the same curve, for any bucket count
+    that divides the day; values already at three decimals survive exactly."""
+    millis = np.random.default_rng(seed).integers(0, 10**9, buckets).tolist()
+    curve = LoadCurve(tuple(m / 1000 for m in millis))
+    path = tmp_path_factory.mktemp("csv") / "c.csv"
+    write_load_curve(curve, str(path))
+    back = read_load_curve(str(path))
+    assert back == curve
+    assert back.bucket_minutes == 1440 // buckets
 
 
 @pytest.mark.parametrize("text", [
@@ -218,6 +252,23 @@ def test_csv_read_rejects_malformed(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError):
         read_load_curve(str(path))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("", "no data rows"),
+    ("".join(f"{i * 200},1.0\n" for i in range(7)), "7 rows do not divide a day evenly"),
+    ("0,1.0\n15,1.0\n", "bucket_start_min column is not a uniform day grid"),
+    ("0,1.0\n720,-2.0\n", "curve values must be finite and non-negative"),
+    ("0,nan\n720,1.0\n", "curve values must be finite and non-negative"),
+    ("0,1.0\n720,inf\n", "curve values must be finite and non-negative"),
+], ids=["no-rows", "7-rows", "non-uniform-starts", "negative", "nan", "infinite"])
+def test_csv_read_refusal_messages(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("bucket_start_min,mean_watts\n" + rows, encoding="utf-8")
+    with pytest.raises(BadCurve) as excinfo:
+        read_load_curve(str(path))
+    assert type(excinfo.value) is BadCurve
+    assert str(excinfo.value) == f"{path}: {message}"
 
 
 @settings(max_examples=25, deadline=None)

@@ -90,6 +90,7 @@ def test_deterministic_for_same_stream():
     assert a == b
     c = generate_small_world(300, 4, 0.3, substream(100, STREAM_NETWORK))
     assert a != c
+    assert a != (a.indptr, a.indices)  # not a Network
 
 
 def test_full_rewire_leaves_lattice_behind():
