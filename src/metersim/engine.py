@@ -16,23 +16,28 @@ does not depend on what the agent does (positions within the day's block):
 
 Draws an agent does not need (away, uninfluenced, coin failed) are left
 unread, so runs at the same seed stay draw-aligned between scenario
-variants and nothing an agent does can shift another agent's stream.  The
-block is held one chunk of ticks at a time, in the agent's row of its
-archetype group's float64 matrix (agents of one mix entry have contiguous
-ids and share a matrix): the day's first fill takes the two times and the
-first chunk, and each later chunk is drawn into the same columns when the
-day reaches it.  Successive fills continue the stream, so every draw is the
-one the whole block would hold at that position.  Each tick copies its
-columns of the rows into the group's tick draws, one column per agent, so
-the masks read each slot's draws as one contiguous row.
+variants and nothing an agent does can shift another agent's stream.
 
-A tick advances the clock by tick_minutes.  On the first tick of each day
-the engine makes the day's first fill, takes leave and return times for
-the whole group from columns 0 and 1, and visits in id order only the
+Each archetype mix entry is one group, whose agents have contiguous ids; the
+group builds its agents, their generators and its learning start itself, so
+set-up is one group per entry.  A group holds the block one chunk of ticks
+at a time, in the agent's row of the group's float64 matrix, and one loop
+fills the rows: the day's first fill (day 0's at set-up) takes the two
+times and the first chunk, and each later chunk is drawn into the same
+columns when the day reaches it.  Successive fills continue the stream, so
+every draw is the one the whole block would hold at that position.  Each
+tick copies its columns of the rows into the group's tick draws, one column
+per agent, so the masks read each slot's draws as one contiguous row.
+
+A tick advances the clock by tick_minutes.  A day starts with its first
+fill, which also takes leave and return times for the whole group from
+columns 0 and 1 (day 0's at set-up, each later day's on its first tick).
+On every day's first tick the engine then visits in id order only the
 agents whose learning changes: the uninfluenced once the intervention is
 due, and the influenced at home for their daily reinforced trial.  The
-first tick of each later chunk refills the rows.  Every tick then decides,
-once per group and with numpy over the group's arrays (see behavior):
+first tick of each later chunk fills the rows again.  Every tick then
+decides, once per group and with numpy over the group's arrays (see
+behavior):
 
     flip    presence_mask: whose home flag changes at this clock time
     switch  switch_mask: which appliance slots of at-home agents switch
@@ -218,19 +223,23 @@ def chunk_ticks(ticks_per_day: int, stride: int) -> int:
 
 
 class _Group:
-    """The agents of one archetype mix entry, which have contiguous ids.
+    """The agents of one archetype mix entry, which have contiguous ids
+    from first on, and everything they need, built in one place.
 
-    threshold is the group's trials_to_threshold, worked out once; its
-    seeded agents start there, sharing one frozen LearningState.
-    draws holds the current chunk of today's block, row k for the group's
-    k-th agent, drawn from that agent's generator gens[k]: columns 0 and 1
-    are the day's two times and column 2 + c*(slots+2) starts the draws of
-    the chunk's tick c.  A chunk is chunk ticks long, the day's last one
-    possibly shorter.  tick_draws receives the current tick's draws with
-    one column per agent (slots+2 rows, as behavior reads them).  Beside
-    them the group holds only agent state, in arrays that run over its
-    agents in id order (home and the times have no other copy; the rest are
-    set wherever the engine changes an agent):
+    The group builds its agents (AgentState first + k), their generators
+    (gens[k], agent_streams from the run's seed) and its threshold, the
+    group's trials_to_threshold, worked out once; its seeded agents start
+    there, sharing one frozen LearningState.  draws holds the current chunk
+    of today's block, row k for the group's k-th agent: columns 0 and 1 are
+    the day's two times and column 2 + c*(slots+2) starts the draws of the
+    chunk's tick c.  A chunk is chunk ticks long, the day's last one
+    possibly shorter.  fill is the one loop that draws into it, at the start
+    of a day (the first already at set-up) and on each later chunk's first
+    tick.  tick_draws receives the current tick's draws with one column per
+    agent (slots+2 rows, as behavior reads them).  Beside them the group
+    holds only agent state, in arrays that run over its agents in id order
+    (home and the times have no other copy; the rest are set wherever the
+    engine changes an agent):
 
         leave_at, return_at   today's leave and return minute
         home                  whether the agent is at home
@@ -247,17 +256,16 @@ class _Group:
         "leave_at", "return_at", "home", "on", "influenced", "experienced",
     )
 
-    def __init__(self, rt: ArchetypeRuntime, agents: list[AgentState],
-                 gens: list[np.random.Generator], ticks_per_day: int, seeded: np.ndarray):
-        count, slots = len(agents), rt.n_slots
+    def __init__(self, rt: ArchetypeRuntime, seed: int, first: int, ticks_per_day: int,
+                 seeded: np.ndarray):
+        count, slots = len(seeded), rt.n_slots
         self.rt = rt
-        self.agents = agents
-        self.gens = gens
         self.threshold = trials_to_threshold(rt.learn_params)
         # validation rejects a seeded group whose threshold is unreachable
-        state = LearningState(self.threshold, True) if seeded.any() else None
-        for k in np.flatnonzero(seeded).tolist():
-            agents[k].learning = state
+        start = LearningState(self.threshold, True) if seeded.any() else None
+        self.agents = [AgentState(first + k, start if s else None, [False] * slots)
+                       for k, s in enumerate(seeded.tolist())]
+        self.gens = agent_streams(seed, first, count)
         self.chunk = chunk_ticks(ticks_per_day, slots + 2)
         self.ticks_per_day = ticks_per_day
         width = 2 + self.chunk * (slots + 2)
@@ -279,21 +287,19 @@ class _Group:
         self.experienced = seeded.copy()
         self.start_day()
 
+    def fill(self, rows: np.ndarray) -> None:
+        """Draw the next values of agent k's stream into rows[k], for every
+        agent; each row must be contiguous, as gen.random requires of out."""
+        for gen, row in zip(self.gens, rows):
+            gen.random(out=row)
+
     def start_day(self) -> None:
         """Fill every row with the start of the agent's next block and draw
         today's leave and return times from columns 0 and 1."""
         draws = self.draws
-        for gen, row in zip(self.gens, draws):
-            gen.random(out=row)
+        self.fill(draws)
         self.leave_at, self.return_at = sample_daily_times(
             self.rt.spec, draws[:, 0], draws[:, 1])
-
-    def refill(self, ticks: int) -> None:
-        """Draw the next ticks ticks of every agent's block into the
-        rows' tick columns."""
-        # each row's slice is contiguous, as gen.random requires of out
-        for gen, row in zip(self.gens, self.draws[:, 2:2 + ticks * (self.rt.n_slots + 2)]):
-            gen.random(out=row)
 
     def decide(self, tick_in_day: int, now: int, bucket: int, in_peak: bool,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -304,7 +310,8 @@ class _Group:
         stride = rt.n_slots + 2
         chunk_tick = tick_in_day % self.chunk
         if tick_in_day and not chunk_tick:
-            self.refill(min(self.chunk, self.ticks_per_day - tick_in_day))
+            ticks = min(self.chunk, self.ticks_per_day - tick_in_day)
+            self.fill(self.draws[:, 2:2 + ticks * stride])
         off = 2 + chunk_tick * stride
         u = self.tick_draws
         np.copyto(u, self.draws[:, off:off + stride].T)
@@ -361,10 +368,6 @@ class Simulation:
 
         catalog = {a.id: a for a in scenario.appliances}
         arch_by_id = {a.id: a for a in scenario.archetypes}
-        runtimes = [
-            ArchetypeRuntime.build(arch_by_id[arch_id], catalog, cfg)
-            for arch_id, _frac in cfg.archetype_mix
-        ]
         counts = apportion(cfg.population, cfg.archetype_mix)
 
         pop_rng = substream(cfg.seed, STREAM_POPULATION)
@@ -375,20 +378,12 @@ class Simulation:
 
         self.agents: list[AgentState] = []
         self._groups: list[_Group] = []
-        for rt, count in zip(runtimes, counts):
+        for (arch_id, _frac), count in zip(cfg.archetype_mix, counts):
+            rt = ArchetypeRuntime.build(arch_by_id[arch_id], catalog, cfg)
             first = len(self.agents)
-            agents = [
-                AgentState(
-                    agent_id=first + k,
-                    learning=None,
-                    appliance_on=[False] * rt.n_slots,
-                )
-                for k in range(count)
-            ]
-            gens = agent_streams(cfg.seed, first, count)
-            self.agents.extend(agents)
-            self._groups.append(_Group(rt, agents, gens, self.ticks_per_day,
-                                       seeded[first:first + count]))
+            group = _Group(rt, cfg.seed, first, self.ticks_per_day, seeded[first:first + count])
+            self._groups.append(group)
+            self.agents += group.agents
 
         net_rng = substream(cfg.seed, STREAM_NETWORK)
         self.network = generate_small_world(
@@ -497,8 +492,6 @@ class Simulation:
         total = self.cfg.horizon_days * self.ticks_per_day
         while self._tick_index < total:
             self.tick()
-        for group in self._groups:
-            group.draws = None  # dead once the last tick has run
         return SimOutput(
             load_series=np.asarray(self.load_series, dtype=np.float64),
             adoption_series=tuple(self.adoption_series),

@@ -66,10 +66,10 @@ def aggregate_load(output: SimOutput) -> LoadCurve:
     Bucket means average every tick sample that falls in the bucket across
     all days, which preserves daily energy.  Each mean is exactly rounded:
     the samples are summed exactly and divided once.  The tick must divide
-    BUCKET_MINUTES, as validation holds a scenario to.
+    BUCKET_MINUTES and be positive, as validation holds a scenario to.
     """
     tick_minutes = output.scenario.config.tick_minutes
-    if BUCKET_MINUTES % tick_minutes != 0:
+    if tick_minutes <= 0 or BUCKET_MINUTES % tick_minutes != 0:
         raise BadBucketError(
             f"{tick_minutes} min ticks do not divide the {BUCKET_MINUTES} min bucket"
         )

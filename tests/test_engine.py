@@ -1,4 +1,5 @@
 import math
+import mmap
 import tracemalloc
 from collections import defaultdict
 
@@ -498,6 +499,25 @@ def test_set_up_memory_does_not_grow_with_the_day(sample_path, tick):
         load_scenario(sample_path, {"population": 2000, "tick_minutes": tick}))
     assert len(sim.agents) == 2000
     assert peak < 12 * 2**20
+
+
+def test_set_up_without_map_populate_gives_the_same_run(sample_path, monkeypatch):
+    """Where mmap has no MAP_POPULATE (macOS, Windows), the draw matrices
+    take plain anonymous pages, and the run is the same as with it."""
+    scenario = load_scenario(sample_path, {"population": 50, "horizon_days": 1})
+    expected = run(scenario).load_series.tolist()
+    flags = []
+    plain = mmap.mmap
+
+    def mapping(*args, **kwargs):
+        flags.append(kwargs.get("flags"))
+        return plain(*args, **kwargs)
+
+    monkeypatch.delattr(mmap, "MAP_POPULATE", raising=False)
+    monkeypatch.setattr(mmap, "mmap", mapping)
+    assert run(scenario).load_series.tolist() == expected
+    # every draw matrix was mapped, and without flags
+    assert flags and flags == [None] * len(flags)
 
 
 def test_substreams_are_stable_and_distinct():

@@ -63,6 +63,9 @@ def test_negative_trials_rejected():
         (0.8, 0.5, 0.85, None),  # threshold above the asymptote
         (0.85, 0.5, 0.85, None),  # threshold equal to the asymptote
         (1.0, 0.01, 0.99, 461),
+        # the closed form gives exactly 81.0, but P(81) falls just short of
+        # the threshold, so the crossing is one trial later
+        (0.47338509052526456, 0.006500026766827606, 0.19377194240169374, 82),
     ],
 )
 def test_trials_to_threshold_known_values(M, k, p_th, expected):

@@ -85,9 +85,9 @@ def test_copies_of_one_day_give_that_days_curve(tick, copies, seed):
     assert aggregate_load(fake_output(np.tile(day, copies), tick)) == curve
 
 
-@pytest.mark.parametrize("tick", [20, 45, 7])
+@pytest.mark.parametrize("tick", [20, 45, 7, 0, -30])
 def test_aggregate_rejects_a_tick_that_does_not_divide_the_bucket(tick):
-    series = [0.0] * (1440 // tick)
+    series = [0.0] * (1440 // tick if tick > 0 else 48)
     with pytest.raises(BadBucketError, match=f"^{tick} min ticks do not divide the 30 min bucket$"):
         aggregate_load(fake_output(series, tick))
 
