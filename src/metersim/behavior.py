@@ -14,6 +14,8 @@ presence_mask says who is home, switch_mask which slots switch and
 chat_coins whose coin lands.  The per-agent functions step_presence,
 appliance_tick and maybe_interact then apply those decisions to one agent
 and record its events; the engine calls them only for agents that act.
+Every event they record is an AgentEvent, made by _new_event straight from
+its four fields.
 
 Experienced households shift deferrable load: inside the configured peak
 window their deferrable switch-on propensities are multiplied by the
@@ -50,6 +52,16 @@ class AgentEvent(NamedTuple):
     agent_id: int
     kind: str
     detail: str = ""
+
+
+_tuple_new = tuple.__new__
+
+
+def _new_event(tick: int, agent_id: int, kind: str, detail: str = "") -> AgentEvent:
+    """AgentEvent(tick, agent_id, kind, detail), built without the named
+    tuple's Python-level __new__, which costs more than the rest of making
+    an event."""
+    return _tuple_new(AgentEvent, (tick, agent_id, kind, detail))
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +209,7 @@ def step_presence(
     for agents whose flip is set.  Influence and learning are untouched.
     """
     if events is not None:
-        events.append(AgentEvent(tick, agent.agent_id, RETURNED_HOME if home else LEFT_HOME))
+        events.append(_new_event(tick, agent.agent_id, RETURNED_HOME if home else LEFT_HOME))
 
 
 def apply_intervention(
@@ -208,7 +220,7 @@ def apply_intervention(
         return
     agent.learning = LearningState(trials_t=0, experienced=False)
     if events is not None:
-        events.append(AgentEvent(tick, agent.agent_id, INFLUENCED))
+        events.append(_new_event(tick, agent.agent_id, INFLUENCED))
 
 
 def record_daily_trial(
@@ -222,7 +234,7 @@ def record_daily_trial(
     after = record_trial(before, threshold)
     agent.learning = after
     if after.experienced and not before.experienced and events is not None:
-        events.append(AgentEvent(tick, agent.agent_id, BECAME_EXPERIENCED))
+        events.append(_new_event(tick, agent.agent_id, BECAME_EXPERIENCED))
 
 
 def appliance_tick(
@@ -248,7 +260,7 @@ def appliance_tick(
             on[j] = True
             kind = SWITCHED_ON
         if events is not None:
-            events.append(AgentEvent(tick, agent.agent_id, kind, rt.slot_labels[j]))
+            events.append(_new_event(tick, agent.agent_id, kind, rt.slot_labels[j]))
 
 
 def maybe_interact(
@@ -274,7 +286,7 @@ def maybe_interact(
         return
     peer = donors[int(u_partner * len(donors))]
     if events is not None:
-        events.append(AgentEvent(tick, agent.agent_id, INTERACTED, str(peer)))
+        events.append(_new_event(tick, agent.agent_id, INTERACTED, str(peer)))
     if agent.bonus_trial_today:
         return
     before = agent.learning
@@ -283,4 +295,4 @@ def maybe_interact(
         agent.learning = after
         agent.bonus_trial_today = True
         if after.experienced and not before.experienced and events is not None:
-            events.append(AgentEvent(tick, agent.agent_id, BECAME_EXPERIENCED))
+            events.append(_new_event(tick, agent.agent_id, BECAME_EXPERIENCED))

@@ -98,15 +98,28 @@ def _outputs(directory: str):
         raise
 
 
-def event_rows(events: list[AgentEvent]) -> str:
-    """The events as lines of events.csv.
+class IntText(dict):
+    """The text of int fields of events.csv: n maps to f"{n},", made the
+    first time n is looked up.  One per run, filled as its ticks and agent
+    ids appear in the log, so it holds only those."""
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = f"{n},"
+        return text
+
+
+def event_rows(events: list[AgentEvent], text: IntText) -> str:
+    """The events as lines of events.csv: for each, the text of its tick
+    and agent id from text, the run's IntText, then its kind, a comma and
+    its detail.
 
     No field needs quoting: ticks and agent ids are ints, kinds are
     constants, and a detail is a peer id or "<appliance id>#<n>", where the
     validator refuses an id holding a comma, a double quote, CR or LF.  So
     each line is the one csv.writer would write.
     """
-    return "".join(map("%d,%d,%s,%s\n".__mod__, events))
+    return "".join([f"{text[tick]}{text[agent_id]}{kind},{detail}\n"
+                    for tick, agent_id, kind, detail in events])
 
 
 def _parse_window_arg(text: str) -> tuple[TimeOfDay, TimeOfDay]:
@@ -154,11 +167,14 @@ def cmd_run(args: argparse.Namespace) -> None:
     started = time.monotonic()
     events_file = None
     events_rows = 0
+    # built only for a run that writes events, so a run without them holds
+    # no text of its ticks and ids
+    text = IntText() if args.events else None
 
     def write_events(events: list[AgentEvent]) -> None:
         nonlocal events_rows
         events_rows += len(events)
-        events_file.write(event_rows(events))
+        events_file.write(event_rows(events, text))
 
     # events.csv is written as the run goes, so a bad --out is found
     # before the first tick

@@ -322,7 +322,7 @@ class _Group:
         coin = chat_coins(rt, u, home, self.influenced)
         self.on ^= switch
         acts = np.logical_or.reduce(switch, axis=0) | flip | coin
-        return np.flatnonzero(acts), flip, switch, coin
+        return acts.nonzero()[0], flip, switch, coin
 
 
 @dataclass(frozen=True)
@@ -412,7 +412,7 @@ class Simulation:
             if day > 0:
                 group.start_day()
             home, influenced = group.home, group.influenced
-            visit = np.flatnonzero(home | ~influenced if intervention_due else home & influenced)
+            visit = (home | ~influenced if intervention_due else home & influenced).nonzero()[0]
             influenced[visit] = True
             for k, at_home in zip(visit.tolist(), home[visit].tolist()):
                 agent = group.agents[k]
@@ -447,13 +447,16 @@ class Simulation:
             experienced = group.experienced
             partner = group.tick_draws[rt.n_slots + 1]
             # the switched slots of every visited agent in (agent, slot)
-            # order, and how many belong to each agent
+            # order, and how many belong to each agent.  Here, in decide and
+            # at the day boundary, ndarray.nonzero and np.add.reduce are
+            # called directly: np.nonzero, np.flatnonzero and ndarray.sum
+            # add about 1 us of Python a call around them
             switch = switch[:, visit]
-            switched = np.nonzero(switch.T)[1].tolist()
+            switched = switch.T.nonzero()[1].tolist()
             first = 0
             for k, moved, home, n_switched, chats in zip(
                 visit.tolist(), flip[visit].tolist(), group.home[visit].tolist(),
-                switch.sum(axis=0).tolist(), coin[visit].tolist(),
+                np.add.reduce(switch, axis=0).tolist(), coin[visit].tolist(),
             ):
                 agent = agents[k]
                 if moved:
@@ -470,7 +473,8 @@ class Simulation:
                     if agent.learning is not before:
                         learned.append(agent)
                         experienced[k] = agent.learning.experienced
-            load += sum(map(operator.mul, rt.power_numerators, group.on.sum(axis=1).tolist()))
+            load += sum(map(operator.mul, rt.power_numerators,
+                            np.add.reduce(group.on, axis=1).tolist()))
         # int / int is correctly rounded
         self.load_series.append(load / rt.power_denominator)
         for agent in learned:

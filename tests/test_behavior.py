@@ -16,6 +16,7 @@ from metersim.behavior import (
     SWITCHED_ON,
     AgentEvent,
     ArchetypeRuntime,
+    _new_event,
     apply_intervention,
     appliance_tick,
     chat_coins,
@@ -268,6 +269,28 @@ def test_agent_event_is_an_immutable_csv_row():
     assert AgentEvent(3, 7, LEFT_HOME).detail == ""
     with pytest.raises(AttributeError):
         event.kind = SWITCHED_OFF
+
+
+def test_every_event_of_a_run_is_an_agent_event():
+    # chats, seeded donors, an intervention on day 1 and crossings: all seven kinds
+    scenario = validate_scenario(tiny_doc(population=10, exp_frac=0.5, rate=0.5, horizon=5,
+                                          intervention=1))
+    events = run(scenario, record_events=True).events
+    assert {e.kind for e in events} == {LEFT_HOME, RETURNED_HOME, INFLUENCED, BECAME_EXPERIENCED,
+                                        SWITCHED_ON, SWITCHED_OFF, INTERACTED}
+    assert all(type(e) is AgentEvent for e in events)
+
+
+@pytest.mark.parametrize("fields", [(0, 0, LEFT_HOME), (3, 7, SWITCHED_ON, "heater#0"),
+                                    (10**9, 2**31 - 1, INTERACTED, "12")])
+def test_new_event_is_the_named_tuple_its_fields_make(fields):
+    event, made = _new_event(*fields), AgentEvent(*fields)
+    assert type(event) is AgentEvent
+    assert event == made
+    for field in AgentEvent._fields:
+        assert getattr(event, field) == getattr(made, field)
+    assert AgentEvent._fields == ("tick", "agent_id", "kind", "detail")
+    assert AgentEvent._field_defaults == {"detail": ""}
 
 
 def test_apply_intervention_once():

@@ -392,7 +392,52 @@ def events_of_every_kind(draw):
 def test_event_rows_are_the_rows_csv_writer_writes(events):
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(events)
-    assert cli.event_rows(events) == expected.getvalue()
+    assert cli.event_rows(events, cli.IntText()) == expected.getvalue()
+
+
+@st.composite
+def batches_sharing_ticks_and_ids(draw):
+    """Batches of events of every kind whose ticks and agent ids are drawn
+    from a few values, so that they repeat within and across the batches."""
+    ticks = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=4))
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=4))
+    batches = draw(st.lists(st.lists(events_of_every_kind(), max_size=6), max_size=6))
+    return [[AgentEvent(draw(st.sampled_from(ticks)), draw(st.sampled_from(ids)), kind, detail)
+             for _, _, kind, detail in batch] for batch in batches]
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches_sharing_ticks_and_ids())
+def test_batches_rendered_through_one_int_text_are_the_rows_csv_writer_writes(batches):
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(e for batch in batches for e in batch)
+    text = cli.IntText()
+    assert "".join(cli.event_rows(batch, text) for batch in batches) == expected.getvalue()
+    assert set(text) == {n for batch in batches for e in batch for n in (e.tick, e.agent_id)}
+
+
+def test_a_run_without_events_renders_nothing(tiny_config, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rendering work in a run without --events")
+
+    monkeypatch.setattr(cli, "event_rows", refuse)
+    monkeypatch.setattr(cli, "IntText", refuse)
+    assert main(["run", "--config", tiny_config(), "--out", str(tmp_path / "quiet")]) == 0
+
+
+def test_a_run_with_events_renders_through_one_int_text(tiny_config, tmp_path, monkeypatch):
+    made = []
+
+    class Recorded(cli.IntText):
+        def __init__(self):
+            made.append(self)
+
+    monkeypatch.setattr(cli, "IntText", Recorded)
+    out = tmp_path / "out"
+    assert main(["run", "--config", tiny_config(), "--out", str(out), "--events"]) == 0
+    rows = list(csv.reader(io.StringIO((out / "events.csv").read_text(encoding="utf-8"))))[1:]
+    assert len(made) == 1
+    assert set(made[0]) == {int(n) for row in rows for n in row[:2]}
 
 
 def rename_appliance(doc, old, new):
