@@ -194,10 +194,8 @@ def cmd_run(args: argparse.Namespace) -> None:
         curve = aggregate_load(output)
 
         files = ["loadcurve.csv", "adoption.csv"] + (["events.csv"] if args.events else [])
-        # opened here first, so that a failure removes it only once the
-        # run has opened it; write_load_curve opens it again by its path
-        create("loadcurve.csv").close()
-        write_load_curve(curve, os.path.join(args.out, "loadcurve.csv"))
+        with create("loadcurve.csv") as fh:
+            write_load_curve(curve, fh)
 
         with create("adoption.csv") as fh:
             writer = csv.writer(fh, lineterminator="\n")

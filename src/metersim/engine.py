@@ -2,12 +2,13 @@
 
 Randomness discipline: one master seed feeds named PCG64 substreams via
 SeedSequence spawn keys, one for population assembly, one for the contact
-network, and one per agent for behaviour.  The agent streams' seed words
-come from one vectorised hash over a group's ids (agent_seed_words) that
-equals numpy's SeedSequence for the same spawn keys, so every agent's
-generator is the one substream would build.  Each agent draws one fixed size
-block of uniforms from its stream per simulated day, with a layout that
-does not depend on what the agent does (positions within the day's block):
+network, and one per agent for behaviour.  The agent streams share numpy's
+SeedSequence pool for the seed and STREAM_AGENT, and one vectorised hash
+mixes each id of a group into it (agent_seed_words), so every agent's
+generator is the one substream would build for its spawn keys.  Each agent
+draws one fixed size block of uniforms from its stream per simulated day,
+with a layout that does not depend on what the agent does (positions within
+the day's block):
 
     0, 1                           leave and return time
     2 + t*(slots+2) + j            switching draw of slot j at tick t
@@ -99,7 +100,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a 4-word pool
-# of uint32, mixed with constants that do not depend on the data
+# of uint32, mixed with constants that do not depend on the data; numpy has
+# no vectorised form of it, so the per-id half is done here
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -125,40 +127,24 @@ def agent_seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
     .generate_state(4, np.uint64), the words PCG64 seeds itself from,
     computed for all ids at once.
 
-    The entropy is the seed's little-endian uint32 words, zero-padded to the
-    pool, then the spawn key's words: STREAM_AGENT and the id, which must be
-    below 2**32 and so is one word.  Arrays of one element hold the words
-    every id shares and broadcast against the id column.
+    The pool every id shares is numpy's own, of SeedSequence(seed,
+    spawn_key=(STREAM_AGENT,)): it has mixed in the seed's uint32 words,
+    padded to the pool, and STREAM_AGENT, with 4 hashmixes per word.  Only
+    the id, which must be below 2**32 and so is one word, is mixed here,
+    into the shared pool's one-element rows, which broadcast against the
+    id column.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     ids = np.asarray(ids, dtype=np.uint64)
     if ids.size and ids.max() > _MASK32:
         raise ValueError(f"agent ids must be below 2**32, got {int(ids.max())}")
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words)) + [STREAM_AGENT]
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(ids.astype(np.uint32))
-
-    hash_const = _INIT_A
+    shared = np.random.SeedSequence(seed, spawn_key=(STREAM_AGENT,))
+    words = max(_POOL_SIZE, -(-seed.bit_length() // 32)) + 1
+    hash_const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
+    id_words = ids.astype(np.uint32)
     pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
+    for word in shared.pool[:, None]:
+        value, hash_const = _hashmix(id_words, hash_const, _MULT_A)
+        pool.append(_mix(word, value))
 
     hash_const = _INIT_B
     state = []

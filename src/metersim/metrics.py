@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -107,10 +108,7 @@ def pearson_correlation(a: LoadCurve, b: LoadCurve) -> float:
 
 def peak_stats(curve: LoadCurve) -> tuple[TimeOfDay, float]:
     """Start time and value of the highest bucket; ties go to the earliest."""
-    best = 0
-    for i, v in enumerate(curve.values):
-        if v > curve.values[best]:
-            best = i
+    best = curve.values.index(max(curve.values))
     return TimeOfDay(best * curve.bucket_minutes), curve.values[best]
 
 
@@ -143,13 +141,13 @@ def peak_reduction(
     return 1.0 - treated_mean / base_mean
 
 
-def write_load_curve(curve: LoadCurve, path: str) -> None:
-    """Write the canonical CSV form (three decimals, LF endings)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for i, v in enumerate(curve.values):
-            writer.writerow((i * curve.bucket_minutes, f"{v:.3f}"))
+def write_load_curve(curve: LoadCurve, fh: TextIO) -> None:
+    """Write the canonical CSV form (three decimals, LF endings) to fh, a
+    text stream opened with newline=""."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for i, v in enumerate(curve.values):
+        writer.writerow((i * curve.bucket_minutes, f"{v:.3f}"))
 
 
 def read_load_curve(path: str) -> LoadCurve:
@@ -181,8 +179,6 @@ def read_load_curve(path: str) -> LoadCurve:
             raise BadCurve(f"{path}:{lineno}: {exc}") from exc
     if not values:
         raise BadCurve(f"{path}: no data rows")
-    if MINUTES_PER_DAY % len(values) != 0:
-        raise BadCurve(f"{path}: {len(values)} rows do not divide a day evenly")
     try:
         curve = LoadCurve(tuple(values))
     except BadCurve as exc:

@@ -343,9 +343,9 @@ def test_run_frees_the_simulation_before_writing(tiny_config, tmp_path, monkeypa
 
     alive_at_write = []
 
-    def write(curve, path):
+    def write(curve, fh):
         alive_at_write.append(sims[0]() is not None)
-        write_load_curve(curve, path)
+        write_load_curve(curve, fh)
 
     monkeypatch.setattr(cli.Simulation, "run_all", kept)
     monkeypatch.setattr(cli, "write_load_curve", write)
@@ -661,7 +661,8 @@ def test_compare_uniformly_scaled_curve(tiny_config, tmp_path, capsys):
     base = read_load_curve(str(curve_path))
     treated = LoadCurve(tuple(0.8 * v for v in base.values))
     treated_path = tmp_path / "treated.csv"
-    write_load_curve(treated, str(treated_path))
+    with treated_path.open("w", encoding="utf-8", newline="") as fh:
+        write_load_curve(treated, fh)
     capsys.readouterr()
     assert main(["compare", str(curve_path), str(treated_path)]) == 0
     stdout = capsys.readouterr().out
@@ -690,7 +691,8 @@ def test_compare_rejects_mismatched_and_malformed_curves(tiny_config, tmp_path, 
     curve_path = run_tiny_and_get_curve(tiny_config, tmp_path)
     coarse = LoadCurve(tuple(float(i) for i in range(24)))
     coarse_path = tmp_path / "coarse.csv"
-    write_load_curve(coarse, str(coarse_path))
+    with coarse_path.open("w", encoding="utf-8", newline="") as fh:
+        write_load_curve(coarse, fh)
     assert main(["compare", str(curve_path), str(coarse_path)]) == 2
     assert "LengthMismatch" in capsys.readouterr().err
 

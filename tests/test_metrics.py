@@ -195,7 +195,8 @@ def test_csv_write_format(tmp_path):
     values[0] = 123.4567
     values[1] = 0.0004
     path = tmp_path / "curve.csv"
-    write_load_curve(curve48(values), str(path))
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        write_load_curve(curve48(values), fh)
     data = path.read_bytes()
     assert b"\r" not in data
     lines = data.decode("utf-8").split("\n")
@@ -211,12 +212,14 @@ def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     curve = curve48(np.round(rng.uniform(0.0, 3000.0, 48), 3))
     path = tmp_path / "c.csv"
-    write_load_curve(curve, str(path))
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        write_load_curve(curve, fh)
     back = read_load_curve(str(path))
     assert back == curve
 
     fine = LoadCurve(tuple(float(i) for i in range(144)))
-    write_load_curve(fine, str(path))
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        write_load_curve(fine, fh)
     assert read_load_curve(str(path)).bucket_minutes == 10
 
 
@@ -231,7 +234,8 @@ def test_csv_round_trip_for_every_bucketing_of_the_day(tmp_path_factory, buckets
     millis = np.random.default_rng(seed).integers(0, 10**9, buckets).tolist()
     curve = LoadCurve(tuple(m / 1000 for m in millis))
     path = tmp_path_factory.mktemp("csv") / "c.csv"
-    write_load_curve(curve, str(path))
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        write_load_curve(curve, fh)
     back = read_load_curve(str(path))
     assert back == curve
     assert back.bucket_minutes == 1440 // buckets
@@ -256,7 +260,7 @@ def test_csv_read_rejects_malformed(tmp_path, text):
 
 @pytest.mark.parametrize("rows, message", [
     ("", "no data rows"),
-    ("".join(f"{i * 200},1.0\n" for i in range(7)), "7 rows do not divide a day evenly"),
+    ("".join(f"{i * 200},1.0\n" for i in range(7)), "7 buckets do not cut a day evenly"),
     ("0,1.0\n15,1.0\n", "bucket_start_min column is not a uniform day grid"),
     ("0,1.0\n720,-2.0\n", "curve values must be finite and non-negative"),
     ("0,nan\n720,1.0\n", "curve values must be finite and non-negative"),
@@ -276,7 +280,8 @@ def test_csv_read_refusal_messages(tmp_path, rows, message):
 def test_csv_round_trip_tolerance(tmp_path_factory, values):
     curve = curve48(values)
     path = tmp_path_factory.mktemp("csv") / "c.csv"
-    write_load_curve(curve, str(path))
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        write_load_curve(curve, fh)
     back = read_load_curve(str(path))
     for orig, rt in zip(curve.values, back.values):
         assert abs(orig - rt) <= 5e-4

@@ -1,7 +1,8 @@
 """The agent streams' vectorised seeding against numpy's own SeedSequence.
 
-engine.agent_seed_words reimplements numpy's SeedSequence hash for every id
-of a group at once; these tests hold it to numpy word for word, and the
+engine.agent_seed_words takes the pool every agent shares from numpy's
+SeedSequence and mixes each id of a group into it at once; these tests hold
+it to numpy word for word, for seeds of one to nine uint32 words, and the
 generators built from it to substream state for state.
 """
 
@@ -30,7 +31,9 @@ def numpy_words(seed, agent_id):
         4, np.uint64)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7101, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("seed", [
+    0, 1, 7101, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**96 + 5, 2**128, 2**200 + 7,
+])
 def test_words_equal_seed_sequence_for_the_first_5000_ids(seed):
     words = agent_seed_words(seed, np.arange(5000, dtype=np.uint64))
     assert words.dtype == np.uint64
@@ -46,7 +49,7 @@ def test_ids_with_a_high_word_are_refused(ids):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), agent_id=st.integers(0, 2**32 - 1))
+@given(seed=st.integers(0, 2**256), agent_id=st.integers(0, 2**32 - 1))
 def test_words_equal_seed_sequence_for_any_seed_and_id(seed, agent_id):
     words = agent_seed_words(seed, np.array([agent_id, 3], dtype=np.uint64))
     np.testing.assert_array_equal(words[0], numpy_words(seed, agent_id))
